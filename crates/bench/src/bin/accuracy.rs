@@ -32,7 +32,7 @@ fn main() {
     let mut rows = Vec::new();
     for bench in all_benchmarks() {
         for version in Version::BOTH {
-            let run = analyze(bench, version, &opts.config, opts.trace_workers);
+            let run = analyze(bench, version, &opts.config);
             let n = run.evaluation.extras.len();
             extras_total += n;
             for f in &run.evaluation.extras {
@@ -66,7 +66,7 @@ fn main() {
     let mut false_patterns = 0usize;
     for version in Version::BOTH {
         let bench = starbench::benchmark("streamcluster").unwrap();
-        let baseline = analyze(bench, version, &opts.config, opts.trace_workers);
+        let baseline = analyze(bench, version, &opts.config);
         let maps_before: Vec<Vec<u32>> = baseline
             .result
             .found

@@ -48,7 +48,7 @@ fn main() {
                 requests.push(AnalysisRequest {
                     id: format!("{}-{}-x{factor}", bench.name, version.name()),
                     program: bench.program(version),
-                    input: (bench.scaled_input)(factor).with_trace_workers(opts.trace_workers),
+                    input: (bench.scaled_input)(factor),
                     config: opts.config.clone(),
                 });
             }
@@ -190,34 +190,6 @@ fn main() {
     );
     print_engine_metrics(&eng);
 
-    // Trace-scaling spot check (DESIGN.md §17): the ×16 Pthreads corpus
-    // at 8 simulated threads, ingested sequentially and with 8 trace
-    // workers. Pooled over the suite so one benchmark's noise cannot
-    // dominate. On a single-core host the sharded tracer cannot beat
-    // the machine; `trace_cores` lets `obs_check --trace` tell the two
-    // situations apart.
-    let trace_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut scaling = (0.0f64, 0.0f64); // (sequential, 8 workers)
-    for bench in all_benchmarks() {
-        let program = bench.program(Version::Pthreads);
-        let cfg = (bench.scaled_input_nproc)(16, 8);
-        for (workers, total) in [(1usize, &mut scaling.0), (8, &mut scaling.1)] {
-            let cfg = cfg.clone().with_trace_workers(workers);
-            let t0 = std::time::Instant::now();
-            trace::run(&program, &cfg)
-                .unwrap_or_else(|e| panic!("{} x16 nproc=8 at {workers} workers: {e}", bench.name));
-            *total += t0.elapsed().as_secs_f64();
-        }
-    }
-    let trace_speedup_x16 = scaling.0 / scaling.1.max(1e-9);
-    println!(
-        "parallel trace ingestion: x16 pthreads corpus {:.3}s sequential, {:.3}s at 8 workers \
-         ({trace_speedup_x16:.2}x on {trace_cores} core(s))",
-        scaling.0, scaling.1,
-    );
-
     write_record("fig7", &points);
 
     // The repo's perf-trajectory seed: the full per-point phase breakdown
@@ -239,9 +211,6 @@ fn main() {
     report.meta_num("slope_simplify", slope_simplify);
     report.meta_num("slope_decompose", slope_decompose);
     report.meta_num("slope_trace", slope_trace);
-    report.meta_num("trace_speedup_x16", trace_speedup_x16);
-    report.meta_num("trace_cores", trace_cores as f64);
-    report.meta_num("trace_workers", opts.trace_workers as f64);
     report.meta_num("avg_reduction", avg_red);
     report.section("points", &points);
     match report.write(std::path::Path::new("BENCH_fig7.json")) {

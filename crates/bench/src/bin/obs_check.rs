@@ -18,20 +18,10 @@
 //! `--fig7` gates the Fig. 7 scaling report instead: the numeric meta
 //! fields (including the per-phase `slope_*` fits) must be JSON numbers
 //! (not stringified), `factors` must be a JSON array, and none of the
-//! total log-log slope of analysis time vs DDG size, the matching
-//! phase's slope, or the simplify phase's slope may exceed
-//! `--max-slope` (default 1.05 — superlinear extraction, matching, or
-//! simplification regressions fail CI here).
-//!
-//! `--trace <BENCH_fig7.json> [--max-slope <s>] [--min-speedup <x>]`
-//! gates trace ingestion (DESIGN.md §17): the trace phase's log-log
-//! slope must stay at most `--max-slope`, and — when the recording host
-//! had at least two cores — the ×16-corpus sharded-ingestion speedup
-//! (`trace_speedup_x16`, 8 workers vs the sequential machine) must
-//! reach `min(--min-speedup, 0.7 × trace_cores)`. On a single-core
-//! host the speedup check is skipped with a note: the sharded tracer
-//! cannot beat the machine without parallelism, and a wall-clock gate
-//! there would only measure scheduler overhead.
+//! total log-log slope of analysis time vs DDG size, the matching,
+//! simplify, or trace phase's slope may exceed `--max-slope` (default
+//! 1.05 — superlinear extraction, matching, simplification, or tracing
+//! regressions fail CI here).
 //!
 //! `--slo <report> [--max-burn <b>]` gates the SLO burn rates a load or
 //! chaos run recorded into its report's meta (`slo_short_burn`,
@@ -48,10 +38,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--fig7") {
         fig7_gate(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("--trace") {
-        trace_gate(&args[1..]);
         return;
     }
     if args.first().map(String::as_str) == Some("--incr") {
@@ -206,8 +192,6 @@ fn fig7_gate(args: &[String]) {
         "slope_simplify",
         "slope_decompose",
         "slope_trace",
-        "trace_speedup_x16",
-        "trace_cores",
         "avg_reduction",
     ] {
         match meta.get(key) {
@@ -258,93 +242,20 @@ fn fig7_gate(args: &[String]) {
         );
         exit(1);
     }
+    // Tracing too: the machine emits one node per traced operation, so
+    // a superlinear trace slope means per-step cost grows with the run.
+    let trace = meta.get("slope_trace").and_then(Json::as_f64).unwrap();
+    if !trace.is_finite() || trace > max_slope {
+        eprintln!(
+            "obs_check: {path}: trace-phase slope {trace:.3} exceeds {max_slope} — \
+             tracing is growing superlinearly in DDG size"
+        );
+        exit(1);
+    }
     println!(
         "obs_check: OK — fig7 log-log slope {slope:.3}, matching slope {matching:.3}, \
-         simplify slope {simplify:.3} <= {max_slope}, meta fields typed"
+         simplify slope {simplify:.3}, trace slope {trace:.3} <= {max_slope}, meta fields typed"
     );
-}
-
-/// The trace-ingestion gate: `--trace <BENCH_fig7.json> [--max-slope <s>]
-/// [--min-speedup <x>]` (DESIGN.md §17).
-fn trace_gate(args: &[String]) {
-    let path = args.first().unwrap_or_else(|| {
-        eprintln!(
-            "usage: obs_check --trace <BENCH_fig7.json> [--max-slope <s>] [--min-speedup <x>]"
-        );
-        exit(2);
-    });
-    let flag_val = |name: &str, default: f64| -> f64 {
-        match args.iter().position(|a| a == name) {
-            None => default,
-            Some(i) => {
-                let v = args.get(i + 1).unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    exit(2);
-                });
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid value for {name}: got {v:?}");
-                    exit(2);
-                })
-            }
-        }
-    };
-    let max_slope = flag_val("--max-slope", 1.05);
-    let min_speedup = flag_val("--min-speedup", 1.8);
-
-    let doc = parse(&read(path)).unwrap_or_else(|e| {
-        eprintln!("obs_check: {path}: {e}");
-        exit(1);
-    });
-    let meta = doc.get("meta").unwrap_or_else(|| {
-        eprintln!("obs_check: {path}: report has no \"meta\" object");
-        exit(1);
-    });
-    let require_num = |key: &str| -> f64 {
-        match meta.get(key) {
-            Some(Json::Num(n)) => *n,
-            other => {
-                eprintln!("obs_check: {path}: meta.{key} missing or non-numeric ({other:?})");
-                exit(1);
-            }
-        }
-    };
-
-    // Trace time must scale linearly in DDG size regardless of host.
-    let slope = require_num("slope_trace");
-    if !slope.is_finite() || slope > max_slope {
-        eprintln!(
-            "obs_check: {path}: trace-phase slope {slope:.3} exceeds {max_slope} — \
-             trace ingestion is growing superlinearly in DDG size"
-        );
-        exit(1);
-    }
-
-    // The speedup gate only means something with real parallelism. The
-    // effective floor scales with the recording host's cores (70% of
-    // them, capped at --min-speedup) so a 2-core CI runner is held to
-    // an achievable 1.4x, not the 8-worker ideal.
-    let cores = require_num("trace_cores");
-    let speedup = require_num("trace_speedup_x16");
-    if cores >= 2.0 {
-        let floor = min_speedup.min(0.7 * cores);
-        if !speedup.is_finite() || speedup < floor {
-            eprintln!(
-                "obs_check: {path}: sharded-ingestion speedup {speedup:.2}x on {cores:.0} \
-                 cores is below the {floor:.2}x floor (min(--min-speedup {min_speedup}, \
-                 0.7 x cores)) — parallel trace ingestion is not paying for itself"
-            );
-            exit(1);
-        }
-        println!(
-            "obs_check: OK — trace: slope {slope:.3} <= {max_slope}, \
-             speedup {speedup:.2}x >= {floor:.2}x on {cores:.0} cores"
-        );
-    } else {
-        println!(
-            "obs_check: OK — trace: slope {slope:.3} <= {max_slope}; speedup check skipped \
-             (recorded on a single-core host, {speedup:.2}x observed)"
-        );
-    }
 }
 
 /// The incremental-analysis gate: `--incr <BENCH_incr.json>

@@ -82,7 +82,7 @@ fn corpus_requests(opts: &repro_bench::Cli) -> Vec<AnalysisRequest> {
             reqs.push(AnalysisRequest {
                 id: format!("{}-{}", bench.name, v.name()),
                 program: compile(bench, v, None),
-                input: (bench.analysis_input)().with_trace_workers(opts.trace_workers),
+                input: (bench.analysis_input)(),
                 config: opts.config.clone(),
             });
         }
@@ -174,7 +174,7 @@ fn main() {
     let edit_req = |edit: &str| AnalysisRequest {
         id: format!("{EDIT_BENCH}-edit"),
         program: compile(bench, Version::Seq, Some((EDIT_FROM, edit))),
-        input: (bench.scaled_input)(EDIT_FACTOR).with_trace_workers(opts.trace_workers),
+        input: (bench.scaled_input)(EDIT_FACTOR),
         config: opts.config.clone(),
     };
 
@@ -184,7 +184,7 @@ fn main() {
     let seed = AnalysisRequest {
         id: format!("{EDIT_BENCH}-x{EDIT_FACTOR}-seed"),
         program: compile(bench, Version::Seq, None),
-        input: (bench.scaled_input)(EDIT_FACTOR).with_trace_workers(opts.trace_workers),
+        input: (bench.scaled_input)(EDIT_FACTOR),
         config: opts.config.clone(),
     };
     let seed_res = engine.analyze_one(seed);
@@ -263,7 +263,6 @@ fn main() {
     report.meta_num("corpus_requests", n_corpus);
     report.meta_num("corpus_cold_s", corpus_cold_s);
     report.meta_num("corpus_warm_s", corpus_warm_s);
-    report.meta_num("trace_workers", opts.trace_workers as f64);
     report.section("query", &stats);
     match report.write(std::path::Path::new("BENCH_incr.json")) {
         Ok(()) => eprintln!("(incremental report written to BENCH_incr.json)"),

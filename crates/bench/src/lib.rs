@@ -28,9 +28,6 @@ use std::time::{Duration, Instant};
 ///   `degraded` (default: none);
 /// - `--workers <n>` — match workers for the engine-driven binaries
 ///   (default: one per hardware thread);
-/// - `--trace-workers <n>` — trace-ingestion workers per analysis
-///   (default 1 = the sequential machine; ≥ 2 shards the tracer,
-///   byte-identical output — DESIGN.md §17);
 /// - `--trace-out <path>` — enable span tracing and write a Chrome
 ///   trace-event JSON (open in <https://ui.perfetto.dev>) when the
 ///   binary finishes;
@@ -42,8 +39,6 @@ pub struct Cli {
     pub config: discovery::FinderConfig,
     /// Engine worker count; 0 means the engine default.
     pub workers: usize,
-    /// Trace-ingestion workers per analysis (1 = sequential machine).
-    pub trace_workers: usize,
     /// Chrome trace output path (tracing enabled when set).
     pub trace_out: Option<PathBuf>,
     /// Flat metrics JSON output path (tracing enabled when set).
@@ -89,7 +84,6 @@ pub fn parse_or_exit<T: std::str::FromStr>(flag: &str, value: &str) -> T {
 fn parse_args(args: impl Iterator<Item = String>) -> Cli {
     let mut config = discovery::FinderConfig::default();
     let mut workers = 0usize;
-    let mut trace_workers = 1usize;
     let mut trace_out = None;
     let mut metrics_json = None;
     let mut positional = Vec::new();
@@ -113,10 +107,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Cli {
             "--workers" => {
                 workers = parse_or_exit("--workers", &take("--workers"));
             }
-            "--trace-workers" => {
-                trace_workers =
-                    parse_or_exit::<usize>("--trace-workers", &take("--trace-workers")).max(1);
-            }
             "--trace-out" => {
                 trace_out = Some(PathBuf::from(take("--trace-out")));
             }
@@ -129,7 +119,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Cli {
     Cli {
         config,
         workers,
-        trace_workers,
         trace_out,
         metrics_json,
         positional,
@@ -223,15 +212,13 @@ pub struct AnalysisRun {
 }
 
 /// Traces and analyzes one benchmark version on its analysis input.
-/// `trace_workers` ≥ 2 runs the sharded tracer (byte-identical DDG).
 pub fn analyze(
     bench: &'static Benchmark,
     version: Version,
     config: &discovery::FinderConfig,
-    trace_workers: usize,
 ) -> AnalysisRun {
     let program = bench.program(version);
-    let cfg = (bench.analysis_input)().with_trace_workers(trace_workers.max(1));
+    let cfg = (bench.analysis_input)();
     let t0 = Instant::now();
     let run = trace::run(&program, &cfg)
         .unwrap_or_else(|e| panic!("{} {}: {e}", bench.name, version.name()));
@@ -251,28 +238,6 @@ pub fn analyze(
         result,
         evaluation,
     }
-}
-
-/// Traces and analyzes a scaled input (the Fig. 7 size series). Returns
-/// `(ddg size, trace seconds, find seconds, result)`.
-pub fn analyze_scaled(
-    bench: &'static Benchmark,
-    version: Version,
-    factor: usize,
-    config: &discovery::FinderConfig,
-    trace_workers: usize,
-) -> (usize, f64, f64, discovery::FinderResult) {
-    let program = bench.program(version);
-    let cfg = (bench.scaled_input)(factor).with_trace_workers(trace_workers.max(1));
-    let t0 = Instant::now();
-    let run = trace::run(&program, &cfg)
-        .unwrap_or_else(|e| panic!("{} {} x{factor}: {e}", bench.name, version.name()));
-    let trace_seconds = t0.elapsed().as_secs_f64();
-    let ddg = run.ddg.expect("tracing enabled");
-    let size = ddg.len();
-    let t0 = Instant::now();
-    let result = discovery::find_patterns(&ddg, config);
-    (size, trace_seconds, t0.elapsed().as_secs_f64(), result)
 }
 
 /// Renders a simple aligned text table.
@@ -324,7 +289,7 @@ mod tests {
     #[test]
     fn analyze_runs_end_to_end() {
         let b = starbench::benchmark("rgbyuv").unwrap();
-        let run = analyze(b, Version::Seq, &discovery::FinderConfig::default(), 1);
+        let run = analyze(b, Version::Seq, &discovery::FinderConfig::default());
         assert!(run.evaluation.perfect());
         assert!(run.result.ddg_size > 0);
         assert!(run.find_seconds >= 0.0);
@@ -333,22 +298,12 @@ mod tests {
     #[test]
     fn cli_parses_budget_workers_and_positionals() {
         let cli = parse_args(
-            [
-                "--budget-ms",
-                "1500",
-                "fig7",
-                "--workers",
-                "3",
-                "--trace-workers",
-                "8",
-                "1,4",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+            ["--budget-ms", "1500", "fig7", "--workers", "3", "1,4"]
+                .iter()
+                .map(|s| s.to_string()),
         );
         assert_eq!(cli.config.budget.time, Duration::from_millis(1500));
         assert_eq!(cli.workers, 3);
-        assert_eq!(cli.trace_workers, 8);
         assert_eq!(cli.positional, vec!["fig7".to_string(), "1,4".to_string()]);
         assert_eq!(cli.config.deadline, None);
     }

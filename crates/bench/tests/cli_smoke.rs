@@ -181,7 +181,7 @@ fn obs_check_fig7_gate_passes_a_linear_report() {
     let path = dir.join("report.json");
     std::fs::write(
         &path,
-        r#"{"meta":{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":0.85,"slope_simplify":0.9,"slope_decompose":0.8,"slope_trace":0.9,"trace_speedup_x16":2.1,"trace_cores":4,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
+        r#"{"meta":{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":0.85,"slope_simplify":0.9,"slope_decompose":0.8,"slope_trace":0.9,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
     )
     .unwrap();
     let out = run(
@@ -189,6 +189,8 @@ fn obs_check_fig7_gate_passes_a_linear_report() {
         &["--fig7", path.to_str().unwrap(), "--max-slope", "1.05"],
     );
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(stdout.contains("trace slope 0.900"), "stdout: {stdout}");
 }
 
 #[test]
@@ -198,7 +200,7 @@ fn obs_check_fig7_gate_fails_a_superlinear_slope() {
     let path = dir.join("report.json");
     std::fs::write(
         &path,
-        r#"{"meta":{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":1.138,"slope_matching":0.85,"slope_simplify":0.9,"slope_decompose":0.8,"slope_trace":0.9,"trace_speedup_x16":2.1,"trace_cores":4,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
+        r#"{"meta":{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":1.138,"slope_matching":0.85,"slope_simplify":0.9,"slope_decompose":0.8,"slope_trace":0.9,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
     )
     .unwrap();
     let out = run(
@@ -222,7 +224,7 @@ fn obs_check_fig7_gate_fails_a_superlinear_matching_phase() {
     let path = dir.join("report.json");
     std::fs::write(
         &path,
-        r#"{"meta":{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":1.41,"slope_simplify":0.9,"slope_decompose":0.8,"slope_trace":0.9,"trace_speedup_x16":2.1,"trace_cores":4,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
+        r#"{"meta":{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":1.41,"slope_simplify":0.9,"slope_decompose":0.8,"slope_trace":0.9,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
     )
     .unwrap();
     let out = run(
@@ -237,21 +239,6 @@ fn obs_check_fig7_gate_fails_a_superlinear_matching_phase() {
     );
 }
 
-/// A fig7 report with the given slope/speedup/cores trace meta.
-fn fig7_report(dir: &str, trace_meta: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("report.json");
-    std::fs::write(
-        &path,
-        format!(
-            r#"{{"meta":{{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":0.85,"slope_simplify":0.9,"slope_decompose":0.8,{trace_meta},"avg_reduction":3.5}},"counters":[],"gauges":[],"histograms":[],"sections":{{}}}}"#
-        ),
-    )
-    .unwrap();
-    path
-}
-
 #[test]
 fn obs_check_fig7_gate_fails_a_superlinear_simplify_phase() {
     let dir = std::env::temp_dir().join("obs_check_fig7_simplify_slope");
@@ -259,7 +246,7 @@ fn obs_check_fig7_gate_fails_a_superlinear_simplify_phase() {
     let path = dir.join("report.json");
     std::fs::write(
         &path,
-        r#"{"meta":{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":0.85,"slope_simplify":1.38,"slope_decompose":0.8,"slope_trace":0.9,"trace_speedup_x16":2.1,"trace_cores":4,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
+        r#"{"meta":{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":0.85,"slope_simplify":1.38,"slope_decompose":0.8,"slope_trace":0.9,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
     )
     .unwrap();
     let out = run(
@@ -275,27 +262,18 @@ fn obs_check_fig7_gate_fails_a_superlinear_simplify_phase() {
 }
 
 #[test]
-fn obs_check_trace_gate_passes_a_fast_multicore_report() {
-    let path = fig7_report(
-        "obs_check_trace_ok",
-        r#""slope_trace":0.97,"trace_speedup_x16":2.4,"trace_cores":8"#,
-    );
+fn obs_check_fig7_gate_fails_a_superlinear_trace_phase() {
+    let dir = std::env::temp_dir().join("obs_check_fig7_trace_slope");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("report.json");
+    std::fs::write(
+        &path,
+        r#"{"meta":{"workers":1,"budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":0.85,"slope_simplify":0.9,"slope_decompose":0.8,"slope_trace":1.31,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
+    )
+    .unwrap();
     let out = run(
         env!("CARGO_BIN_EXE_obs_check"),
-        &["--trace", path.to_str().unwrap(), "--min-speedup", "1.8"],
-    );
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-}
-
-#[test]
-fn obs_check_trace_gate_fails_a_superlinear_trace_phase() {
-    let path = fig7_report(
-        "obs_check_trace_slope",
-        r#""slope_trace":1.31,"trace_speedup_x16":2.4,"trace_cores":8"#,
-    );
-    let out = run(
-        env!("CARGO_BIN_EXE_obs_check"),
-        &["--trace", path.to_str().unwrap()],
+        &["--fig7", path.to_str().unwrap(), "--max-slope", "1.05"],
     );
     assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
     assert!(
@@ -306,62 +284,13 @@ fn obs_check_trace_gate_fails_a_superlinear_trace_phase() {
 }
 
 #[test]
-fn obs_check_trace_gate_fails_a_slow_multicore_speedup() {
-    let path = fig7_report(
-        "obs_check_trace_slow",
-        r#""slope_trace":0.97,"trace_speedup_x16":1.1,"trace_cores":8"#,
-    );
-    let out = run(
-        env!("CARGO_BIN_EXE_obs_check"),
-        &["--trace", path.to_str().unwrap(), "--min-speedup", "1.8"],
-    );
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
-    assert!(
-        stderr(&out).contains("below the 1.80x floor"),
-        "stderr: {}",
-        stderr(&out)
-    );
-}
-
-#[test]
-fn obs_check_trace_gate_scales_the_floor_to_a_small_host() {
-    // 2 cores: the floor is min(1.8, 0.7 * 2) = 1.4, so 1.5x passes.
-    let path = fig7_report(
-        "obs_check_trace_two_cores",
-        r#""slope_trace":0.97,"trace_speedup_x16":1.5,"trace_cores":2"#,
-    );
-    let out = run(
-        env!("CARGO_BIN_EXE_obs_check"),
-        &["--trace", path.to_str().unwrap(), "--min-speedup", "1.8"],
-    );
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-}
-
-#[test]
-fn obs_check_trace_gate_skips_the_speedup_check_on_one_core() {
-    // Single-core recording host: no speedup is achievable, so only the
-    // slope gates; the skip is stated in the output.
-    let path = fig7_report(
-        "obs_check_trace_one_core",
-        r#""slope_trace":0.97,"trace_speedup_x16":0.8,"trace_cores":1"#,
-    );
-    let out = run(
-        env!("CARGO_BIN_EXE_obs_check"),
-        &["--trace", path.to_str().unwrap(), "--min-speedup", "1.8"],
-    );
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(stdout.contains("speedup check skipped"), "stdout: {stdout}");
-}
-
-#[test]
 fn obs_check_fig7_gate_fails_stringified_meta_numbers() {
     let dir = std::env::temp_dir().join("obs_check_fig7_str");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("report.json");
     std::fs::write(
         &path,
-        r#"{"meta":{"workers":"1","budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":0.85,"slope_simplify":0.9,"slope_decompose":0.8,"slope_trace":0.9,"trace_speedup_x16":2.1,"trace_cores":4,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
+        r#"{"meta":{"workers":"1","budget_ms":60000,"factors":[1,4,16],"loglog_slope":0.98,"slope_matching":0.85,"slope_simplify":0.9,"slope_decompose":0.8,"slope_trace":0.9,"avg_reduction":3.5},"counters":[],"gauges":[],"histograms":[],"sections":{}}"#,
     )
     .unwrap();
     let out = run(

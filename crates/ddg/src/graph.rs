@@ -269,59 +269,6 @@ impl Ddg {
             visited,
         )
     }
-
-    /// Assembles a graph directly from CSR arrays, for builders that
-    /// already produce flattened adjacency (the parallel tracer's
-    /// segment merge). Callers must supply per-node lists that are
-    /// sorted, deduplicated, and mutually consistent (`pred` must be
-    /// the exact transpose of `succ`); both invariants are checked in
-    /// debug builds.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_csr_parts(
-        labels: Vec<String>,
-        label_assoc: Vec<bool>,
-        nodes: Vec<Node>,
-        succ_offsets: Vec<u32>,
-        succ_arcs: Vec<NodeId>,
-        pred_offsets: Vec<u32>,
-        pred_arcs: Vec<NodeId>,
-    ) -> Ddg {
-        assert_eq!(labels.len(), label_assoc.len());
-        assert_eq!(succ_offsets.len(), nodes.len() + 1);
-        assert_eq!(pred_offsets.len(), nodes.len() + 1);
-        assert_eq!(succ_arcs.len(), pred_arcs.len());
-        let g = Ddg {
-            labels,
-            label_assoc,
-            nodes,
-            succ_offsets,
-            succ_arcs,
-            pred_offsets,
-            pred_arcs,
-        };
-        #[cfg(debug_assertions)]
-        {
-            for id in g.node_ids() {
-                debug_assert!(
-                    g.succs(id).windows(2).all(|w| w[0] < w[1]),
-                    "succs of {id:?} not sorted+deduped"
-                );
-                debug_assert!(
-                    g.preds(id).windows(2).all(|w| w[0] < w[1]),
-                    "preds of {id:?} not sorted+deduped"
-                );
-            }
-            let mut fwd: Vec<(NodeId, NodeId)> = g.arcs().collect();
-            let mut rev: Vec<(NodeId, NodeId)> = g
-                .node_ids()
-                .flat_map(|v| g.preds(v).iter().map(move |&u| (u, v)))
-                .collect();
-            fwd.sort_unstable();
-            rev.sort_unstable();
-            debug_assert_eq!(fwd, rev, "pred CSR is not the transpose of succ CSR");
-        }
-        g
-    }
 }
 
 /// Incrementally builds a [`Ddg`]; used by the tracer.

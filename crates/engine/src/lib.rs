@@ -44,7 +44,7 @@ use pool::{PoolMetrics, WorkPool};
 use repro_query::match_cache::{MatchCache, Probe};
 use repro_query::{
     find_key, fingerprint_finder_config, fingerprint_input, subddg_key, trace_key, ExecEntry,
-    FindArtifact, QueryDb, StageKind, TraceArtifact,
+    FindArtifact, QueryDb, TraceArtifact,
 };
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -563,7 +563,6 @@ enum JobReply {
 struct QueryKeys {
     trace_key: repro_ir::ContentHash,
     config_fp: repro_ir::ContentHash,
-    program_fp: repro_ir::ContentHash,
 }
 
 /// Traces and analyzes one request, fanning match jobs out to `pool`.
@@ -598,13 +597,12 @@ fn run_request(
 
     // Content-address the request. Only complete, deadline-free-at-cache
     // artifacts are ever stored, so a hit is always safe to replay.
-    let keys = db.is_full().then(|| {
-        let program_fp = repro_ir::fingerprint_program(&req.program);
-        QueryKeys {
-            trace_key: trace_key(program_fp, fingerprint_input(&req.input)),
-            config_fp: fingerprint_finder_config(&req.config),
-            program_fp,
-        }
+    let keys = db.is_full().then(|| QueryKeys {
+        trace_key: trace_key(
+            repro_ir::fingerprint_program(&req.program),
+            fingerprint_input(&req.input),
+        ),
+        config_fp: fingerprint_finder_config(&req.config),
     });
     if let Some(keys) = &keys {
         if let Some(traced) = db.trace_get(keys.trace_key) {
@@ -670,8 +668,6 @@ fn run_request(
                                 entry.ddg_nodes as usize,
                             ),
                         );
-                        db.record_dep(keys.program_fp, StageKind::Trace, keys.trace_key);
-                        db.record_dep(keys.trace_key, StageKind::Find, fkey);
                         metrics.query_find_hit = true;
                         metrics.query_exec_hit = true;
                         metrics.trace_time = t0.elapsed();
@@ -690,11 +686,8 @@ fn run_request(
             }
         }
         // Record the fingerprint on full runs so future edits can probe
-        // against it — but not at the cost of forcing a parallel trace
-        // sequential.
-        if input.trace_workers < 2 {
-            input.exec_fingerprint = true;
-        }
+        // against it.
+        input.exec_fingerprint = true;
     }
 
     let run = trace::run(&req.program, &input);
@@ -726,7 +719,6 @@ fn run_request(
             keys.trace_key,
             TraceArtifact::from_run(&run, ddg_fp, ddg.len()),
         );
-        db.record_dep(keys.program_fp, StageKind::Trace, keys.trace_key);
         if let Some(exec_fp) = run.exec_fp {
             db.exec_put(
                 repro_ir::ContentHash(exec_fp),
@@ -737,7 +729,6 @@ fn run_request(
             );
         }
         let fkey = find_key(ddg_fp, keys.config_fp);
-        db.record_dep(keys.trace_key, StageKind::Find, fkey);
         if let Some(found) = db.find_get(fkey) {
             metrics.query_find_hit = true;
             req_span.arg("result", obs::ArgValue::Static("query-find-hit"));
@@ -794,9 +785,8 @@ fn run_request(
         for got in 0..submitted {
             match rx.recv() {
                 Ok((i, subs)) => {
-                    if let (Some(skey), Some(keys)) = (skeys[i], &keys) {
+                    if let Some(skey) = skeys[i] {
                         db.subddg_put(skey, Arc::new(subs.clone()));
-                        db.record_dep(keys.trace_key, StageKind::SubDdg, skey);
                     }
                     extracted[i] = Some(subs);
                 }

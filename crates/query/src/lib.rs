@@ -16,13 +16,11 @@
 //! | `find`    | ddg fp ⊕ finder-config fp             | [`FindArtifact`] (complete finder result) |
 //! | `match`   | [`ddg::StructuralKey`] ⊕ budget       | match outcome in group space |
 //!
-//! Because keys are content hashes, *invalidation is mostly implicit*:
-//! an edit produces new keys and simply misses, while unchanged
-//! functions, traces, and structures keep hitting. The explicit
-//! dependency edges recorded between stages (`program → trace → find`)
-//! exist for the one case content addressing cannot express — evicting
-//! a parent whose children must not be served stale, e.g. an operator
-//! retiring a program version ([`QueryDb::invalidate`]).
+//! Because keys are content hashes, *invalidation is implicit*: an
+//! edit produces new keys and simply misses, while unchanged functions,
+//! traces, and structures keep hitting. No entry can go stale, so the
+//! stores record no dependency edges; every stage is LRU-bounded, and
+//! eviction is the only way an entry leaves.
 //!
 //! The match stage is the structural-hash [`MatchCache`] that PRs 1/6
 //! grew (moved here intact, engine re-exports it at its old path); its
@@ -47,22 +45,9 @@ use ddg::Ddg;
 use discovery::{FinderConfig, FinderResult, SubDdg};
 use minc::{CachedFnIr, FnIrCache};
 use repro_ir::{ContentHash, ContentHasher, Program};
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use trace::RunConfig;
-
-/// Which stage a key belongs to (dependency edges and invalidation).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StageKind {
-    Program,
-    FnIr,
-    Trace,
-    Exec,
-    SubDdg,
-    Find,
-}
 
 /// Sizing for the full query DB. Every pipeline stage store gets the
 /// same entry/byte caps; the match stage keeps its own (it has an
@@ -105,8 +90,6 @@ pub struct QueryStats {
     pub subddg: StoreMetrics,
     pub find: StoreMetrics,
     pub match_cache: CacheMetrics,
-    /// Explicit invalidations (cascaded entries included).
-    pub invalidations: u64,
 }
 
 struct Stages {
@@ -116,10 +99,6 @@ struct Stages {
     exec: Store<ExecEntry>,
     subddg: Store<Vec<SubDdg>>,
     find: Store<FindArtifact>,
-    /// parent key → children; edges are recorded at `put` sites
-    /// (`program → trace`, `trace → find`) and walked by
-    /// [`QueryDb::invalidate`].
-    deps: Mutex<HashMap<u128, Vec<(StageKind, u128)>>>,
 }
 
 /// The shared, cross-request memo database. One instance lives behind
@@ -135,7 +114,6 @@ struct Stages {
 pub struct QueryDb {
     match_cache: MatchCache,
     stages: Option<Stages>,
-    invalidations: AtomicU64,
 }
 
 impl QueryDb {
@@ -144,7 +122,6 @@ impl QueryDb {
         QueryDb {
             match_cache: MatchCache::with_capacities(enabled, capacity, capacity_bytes),
             stages: None,
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -167,9 +144,7 @@ impl QueryDb {
                 exec: Store::new("exec", config.stage_capacity, config.stage_capacity_bytes),
                 subddg: Store::new("subddg", config.stage_capacity, config.stage_capacity_bytes),
                 find: Store::new("find", config.stage_capacity, config.stage_capacity_bytes),
-                deps: Mutex::new(HashMap::new()),
             }),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -311,66 +286,10 @@ impl QueryDb {
         out
     }
 
-    // ---- dependency tracking & invalidation ----
-
-    /// Records `parent → child` so invalidating the parent cascades.
-    pub fn record_dep(&self, parent: ContentHash, child_stage: StageKind, child: ContentHash) {
-        if let Some(s) = &self.stages {
-            let mut deps = s
-                .deps
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let children = deps.entry(parent.0).or_default();
-            if !children.contains(&(child_stage, child.0)) {
-                children.push((child_stage, child.0));
-            }
-        }
-    }
-
-    /// Drops a key from its stage and cascades along recorded
-    /// dependency edges. Returns how many entries were dropped, and
-    /// counts them in `query.invalidate`.
-    pub fn invalidate(&self, stage: StageKind, key: ContentHash) -> u64 {
-        let Some(s) = &self.stages else { return 0 };
-        let mut dropped = 0;
-        let mut work = vec![(stage, key.0)];
-        while let Some((stage, key)) = work.pop() {
-            let removed = match stage {
-                StageKind::Program => s.programs.invalidate(ContentHash(key)),
-                StageKind::FnIr => s.fnir.invalidate(ContentHash(key)),
-                StageKind::Trace => s.trace.invalidate(ContentHash(key)),
-                StageKind::Exec => s.exec.invalidate(ContentHash(key)),
-                StageKind::SubDdg => s.subddg.invalidate(ContentHash(key)),
-                StageKind::Find => s.find.invalidate(ContentHash(key)),
-            };
-            if removed {
-                dropped += 1;
-            }
-            let children = {
-                let mut deps = s
-                    .deps
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                deps.remove(&key).unwrap_or_default()
-            };
-            work.extend(children);
-        }
-        if dropped > 0 {
-            self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-            obs::counter("query.invalidate").add(dropped);
-        }
-        dropped
-    }
-
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
-
     pub fn stats(&self) -> QueryStats {
         let mut stats = QueryStats {
             full: self.is_full(),
             match_cache: self.match_cache.metrics(),
-            invalidations: self.invalidations(),
             ..Default::default()
         };
         if let Some(s) = &self.stages {
@@ -424,9 +343,10 @@ pub fn fingerprint_source(program_name: &str, files: &[(&str, &str)]) -> Content
 }
 
 /// Fingerprint of the semantic run input: entry args, array sizing and
-/// init, barrier shape, and fuel. Excludes the trace *mode*, deadline,
-/// and worker count — those change how a run is recorded or bounded,
-/// not what it computes, and the engine forces its own values anyway.
+/// init, barrier shape, and fuel. Excludes the trace *mode*, deadline
+/// and fingerprint request — those change how a run is recorded or
+/// bounded, not what it computes, and the engine forces its own values
+/// anyway.
 pub fn fingerprint_input(cfg: &RunConfig) -> ContentHash {
     let mut h = ContentHasher::new();
     h.write_u64(cfg.entry_args.len() as u64);
@@ -620,7 +540,6 @@ mod tests {
         let base = (bench.analysis_input)();
         let a = fingerprint_input(&base);
         let mut plumbing = (bench.analysis_input)();
-        plumbing.trace_workers = 8;
         plumbing.deadline = Some(std::time::Instant::now());
         assert_eq!(a, fingerprint_input(&plumbing));
         let mut semantic = (bench.analysis_input)();
@@ -668,44 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_cascades_along_recorded_deps() {
-        let db = QueryDb::full(QueryConfig::default());
-        let (pk, tk, fk) = (
-            fingerprint_str_local("prog"),
-            fingerprint_str_local("trace"),
-            fingerprint_str_local("find"),
-        );
-        db.trace_put(
-            tk,
-            TraceArtifact {
-                ddg_fp: fingerprint_str_local("d"),
-                ddg_nodes: 1,
-                steps: 1,
-                return_value: None,
-                arrays: vec![],
-            },
-        );
-        db.find_put(
-            fk,
-            FindArtifact {
-                found: vec![],
-                ddg_size: 1,
-                simplified_size: 1,
-                simplify_stats: Default::default(),
-                iterations: 1,
-                subddgs_matched: 0,
-            },
-        );
-        db.record_dep(pk, StageKind::Trace, tk);
-        db.record_dep(tk, StageKind::Find, fk);
-        let dropped = db.invalidate(StageKind::Program, pk);
-        assert_eq!(dropped, 2, "trace and find entries cascade");
-        assert!(db.trace_get(tk).is_none());
-        assert!(db.find_get(fk).is_none());
-        assert_eq!(db.invalidations(), 2);
-    }
-
-    #[test]
     fn match_only_db_ignores_stage_calls() {
         let db = QueryDb::match_only(true, 16, 0);
         assert!(!db.is_full());
@@ -722,7 +603,6 @@ mod tests {
             },
         );
         assert!(db.trace_get(k).is_none());
-        assert_eq!(db.invalidate(StageKind::Trace, k), 0);
     }
 
     fn fingerprint_str_local(s: &str) -> ContentHash {

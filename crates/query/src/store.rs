@@ -24,7 +24,6 @@ pub struct StoreMetrics {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
-    pub invalidations: u64,
     pub approx_bytes: u64,
     pub poison_recoveries: u64,
 }
@@ -129,7 +128,6 @@ pub struct Store<V> {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    invalidations: AtomicU64,
     poison_recoveries: AtomicU64,
 }
 
@@ -162,7 +160,6 @@ impl<V> Store<V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
         }
     }
@@ -226,25 +223,6 @@ impl<V> Store<V> {
         }
     }
 
-    /// Drops a key (dependency-driven invalidation). Returns whether an
-    /// entry was present.
-    pub fn invalidate(&self, key: ContentHash) -> bool {
-        let removed = {
-            let mut shard = self.shard_for(key.0);
-            match shard.map.remove(&key.0) {
-                Some(slot) => {
-                    shard.bytes -= slot.bytes;
-                    true
-                }
-                None => false,
-            }
-        };
-        if removed {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        removed
-    }
-
     /// Visits every resident entry (persistence writer). Shard locks
     /// are taken one at a time; entries inserted concurrently may or
     /// may not be seen.
@@ -295,10 +273,6 @@ impl<V> Store<V> {
         self.misses.load(Ordering::Relaxed)
     }
 
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
-
     pub fn metrics(&self) -> StoreMetrics {
         StoreMetrics {
             entries: self.len(),
@@ -307,7 +281,6 @@ impl<V> Store<V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
             approx_bytes: self.approx_bytes(),
             poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
         }
@@ -344,17 +317,6 @@ mod tests {
         }
         assert!(store.approx_bytes() <= 100);
         assert!(store.metrics().evictions > 0);
-    }
-
-    #[test]
-    fn invalidate_removes_and_counts() {
-        let store: Store<u64> = Store::new("test", 0, 0);
-        let k = fingerprint_str("k");
-        store.put(k, Arc::new(7), 8);
-        assert!(store.invalidate(k));
-        assert!(!store.invalidate(k));
-        assert!(store.get(k).is_none());
-        assert_eq!(store.invalidations(), 1);
     }
 
     #[test]

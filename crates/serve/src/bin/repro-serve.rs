@@ -13,7 +13,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro-serve [--socket PATH] [--workers N] [--threads N]\n\
          \x20                  [--admission N] [--window N] [--cache-capacity N]\n\
-         \x20                  [--cache-capacity-bytes N] [--trace-workers N]\n\
+         \x20                  [--cache-capacity-bytes N]\n\
          \x20                  [--quota-burst N] [--quota-rate PER_SEC]\n\
          \x20                  [--budget-ms MS] [--deadline-ms MS] [--max-line-bytes N]\n\
          \x20                  [--watchdog-ms MS] [--stall-timeout-ms MS] [--probe-timeout-ms MS]\n\
@@ -28,8 +28,6 @@ fn usage() -> ! {
          \x20 --cache-capacity N   match-cache entries, 0 = unbounded (default 4096)\n\
          \x20 --cache-capacity-bytes N  match-cache bytes, 0 = unbounded (default 0);\n\
          \x20                      whichever cap trips first drives eviction\n\
-         \x20 --trace-workers N    trace-ingestion workers per analysis (default 1;\n\
-         \x20                      >= 2 shards the tracer, byte-identical output)\n\
          \x20 --quota-burst N      tokens per tenant bucket, 0 = quotas off (default 0)\n\
          \x20 --quota-rate R       bucket refill, tokens/second (default 0)\n\
          \x20 --budget-ms MS       default per-sub-DDG match budget (default 60000)\n\
@@ -73,7 +71,6 @@ fn main() {
             "--window" => config.conn_window = parse(&arg, args.next()),
             "--cache-capacity" => config.cache_capacity = parse(&arg, args.next()),
             "--cache-capacity-bytes" => config.cache_capacity_bytes = parse(&arg, args.next()),
-            "--trace-workers" => config.trace_workers = parse(&arg, args.next()),
             "--quota-burst" => quota.burst = parse(&arg, args.next()),
             "--quota-rate" => quota.refill_per_sec = parse(&arg, args.next()),
             "--budget-ms" => config.default_budget_ms = parse(&arg, args.next()),

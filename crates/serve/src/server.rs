@@ -82,10 +82,6 @@ pub struct ServeConfig {
     /// Shared match-cache byte bound (0 = unbounded); eviction honors
     /// whichever of the entry and byte caps trips first.
     pub cache_capacity_bytes: usize,
-    /// Trace-ingestion workers per analysis (DESIGN.md §17). 1 (the
-    /// default) runs the sequential machine; ≥ 2 shards the tracer,
-    /// byte-identical output either way.
-    pub trace_workers: usize,
     /// Default per-sub-DDG match budget when the request names none.
     pub default_budget_ms: u64,
     /// Default whole-request deadline when the request names none.
@@ -127,7 +123,6 @@ impl Default for ServeConfig {
             quota: QuotaConfig::default(),
             cache_capacity: repro_engine::cache::DEFAULT_CACHE_CAPACITY,
             cache_capacity_bytes: 0,
-            trace_workers: 1,
             default_budget_ms: 60_000,
             default_deadline_ms: Some(10_000),
             max_line_bytes: 256 * 1024,
@@ -1386,7 +1381,6 @@ fn compute(shared: &Shared, req: &AnalyzeRequest) -> Computed {
         Ok(pair) => pair,
         Err(msg) => return Computed::BadRequest(msg),
     };
-    let input = input.with_trace_workers(shared.config.trace_workers.max(1));
     let mut config = discovery::FinderConfig {
         budget: discovery::MatchBudget {
             time: Duration::from_millis(req.budget_ms.unwrap_or(shared.config.default_budget_ms)),

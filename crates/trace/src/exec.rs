@@ -1,43 +1,37 @@
-//! The single-step interpreter shared by both tracer drivers.
+//! The single-step interpreter: instruction semantics for the
+//! [`crate::machine::Machine`].
 //!
-//! The sequential [`crate::machine::Machine`] and the parallel tracer's
-//! free-running workers execute exactly the same instruction semantics;
-//! byte-identical DDGs depend on it. This module holds that semantics
-//! once: [`step`] executes one non-synchronizing instruction against an
-//! [`Env`] (memory, tracing, loop-instance numbering), and returns
-//! synchronization instructions *unexecuted* so each driver can apply
-//! its own scheduling rules (the sequential machine inline, the
-//! parallel coordinator during deterministic replay).
-//!
-//! Everything is generic over the node reference `R`: the sequential
-//! machine traces with final [`ddg::NodeId`]s, the parallel workers
-//! with segment-local references.
+//! [`step`] executes one non-synchronizing instruction against the
+//! machine's [`SeqEnv`] (memory, tracing, loop-instance numbering), and
+//! returns synchronization instructions *unexecuted* so the machine's
+//! scheduler applies its blocking and wake-up rules to them.
 
-use crate::bytecode::{CompiledProgram, Inst, Pos};
+use crate::bytecode::{CompiledProgram, Inst};
+use crate::machine::SeqEnv;
 use crate::shadow::Taint;
 use ddg::ScopeEntry;
 use repro_ir::{BinOp, FnId, Intrinsic, Program, UnOp, Value};
 
 /// A value paired with its provenance.
-pub(crate) type Slot<R> = (Value, Taint<R>);
+pub(crate) type Slot = (Value, Taint);
 
 /// One call frame of a simulated thread.
-pub(crate) struct Frame<R> {
+pub(crate) struct Frame {
     pub func: FnId,
     pub pc: usize,
-    pub slots: Vec<Slot<R>>,
-    pub stack: Vec<Slot<R>>,
+    pub slots: Vec<Slot>,
+    pub stack: Vec<Slot>,
 }
 
-/// The driver-independent state of a simulated thread: its call stack
-/// and dynamic loop scope. Scheduling status lives with the driver.
-pub(crate) struct ThreadCtx<R> {
-    pub frames: Vec<Frame<R>>,
+/// The scheduler-independent state of a simulated thread: its call stack
+/// and dynamic loop scope. Scheduling status lives with the machine.
+pub(crate) struct ThreadCtx {
+    pub frames: Vec<Frame>,
     pub scope: Vec<ScopeEntry>,
 }
 
-impl<R: Copy> ThreadCtx<R> {
-    pub(crate) fn new(frame: Frame<R>) -> Self {
+impl ThreadCtx {
+    pub(crate) fn new(frame: Frame) -> Self {
         ThreadCtx {
             frames: vec![frame],
             scope: Vec::new(),
@@ -45,22 +39,22 @@ impl<R: Copy> ThreadCtx<R> {
     }
 
     #[inline]
-    pub(crate) fn frame(&self) -> &Frame<R> {
+    pub(crate) fn frame(&self) -> &Frame {
         self.frames.last().expect("no frame")
     }
 
     #[inline]
-    pub(crate) fn frame_mut(&mut self) -> &mut Frame<R> {
+    pub(crate) fn frame_mut(&mut self) -> &mut Frame {
         self.frames.last_mut().expect("no frame")
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, s: Slot<R>) {
+    pub(crate) fn push(&mut self, s: Slot) {
         self.frame_mut().stack.push(s);
     }
 
     #[inline]
-    pub(crate) fn pop(&mut self) -> Result<Slot<R>, String> {
+    pub(crate) fn pop(&mut self) -> Result<Slot, String> {
         self.frame_mut()
             .stack
             .pop()
@@ -77,71 +71,29 @@ pub(crate) enum TraceOp {
 }
 
 /// Outcome of one [`step`].
-pub(crate) enum StepOut<R> {
+pub(crate) enum StepOut {
     /// An ordinary instruction executed.
     Ran,
     /// The thread is at a synchronization instruction. *Nothing* was
-    /// executed — no pc advance, no pops, no step counted; the driver
+    /// executed — no pc advance, no pops, no step counted; the machine
     /// owns the instruction's semantics and its scheduling effects.
     Sync(Inst),
     /// The final `Ret` executed (it counts as a step): the thread's
     /// last frame popped. Carries the return slot, if any.
-    Done(Option<Slot<R>>),
-}
-
-/// What a driver provides the interpreter: global memory (values and
-/// provenance), tracing, and loop-instance numbering. Implementations
-/// gate all tracing effects on their own tracing flag.
-pub(crate) trait Env {
-    type Ref: Copy + std::fmt::Debug;
-
-    fn array_len(&self, arr: usize) -> usize;
-    /// The array's source name (error messages only).
-    fn array_name(&self, arr: usize) -> String;
-    /// Reads `arr[idx]`: the value, its provenance, and the driver's
-    /// shadow-read accounting.
-    fn load(&mut self, arr: usize, idx: usize) -> (Value, Taint<Self::Ref>);
-    /// Writes `arr[idx]` with provenance.
-    fn store(&mut self, arr: usize, idx: usize, v: Value, def: Taint<Self::Ref>);
-    /// Records one executed operation as a DDG node: label, def-use
-    /// arcs from `operands`, input/iterator marks. Returns the node
-    /// reference as provenance ([`Taint::Const`] when not tracing).
-    #[allow(clippy::too_many_arguments)]
-    fn trace_node(
-        &mut self,
-        t: usize,
-        op: TraceOp,
-        static_op: u32,
-        pos: Pos,
-        operands: &[Taint<Self::Ref>],
-        scope: &[ScopeEntry],
-    ) -> Taint<Self::Ref>;
-    /// The node's value was consumed as an address (or bound).
-    fn mark_address(&mut self, r: Self::Ref);
-    /// The node's value was consumed by a branch condition.
-    fn mark_control(&mut self, r: Self::Ref);
-    /// A loop body was entered: returns this activation's dynamic
-    /// instance number for the static loop.
-    fn loop_enter(&mut self, t: usize, loop_id: u32) -> u32;
-    /// An instruction dispatch (execution fingerprinting hook; see
-    /// [`crate::fp`]). Called before the sync early-return, so every
-    /// dispatch — including a retried blocking instruction — lands in
-    /// the stream. Default: no-op, fully inlined away.
-    #[inline]
-    fn fp_step(&mut self, _t: usize, _func: usize, _pc: usize) {}
+    Done(Option<Slot>),
 }
 
 /// Allocates a frame with parameters bound and locals zero-initialized
 /// by declared type (hidden bound slots are i64).
-pub(crate) fn new_frame<R: Copy>(
+pub(crate) fn new_frame(
     program: &Program,
     code: &CompiledProgram,
     func: FnId,
-    args: Vec<Slot<R>>,
-) -> Frame<R> {
+    args: Vec<Slot>,
+) -> Frame {
     let cf = code.function(func);
     let irf = program.function(func);
-    let mut slots: Vec<Slot<R>> = Vec::with_capacity(cf.n_slots);
+    let mut slots: Vec<Slot> = Vec::with_capacity(cf.n_slots);
     for (i, arg) in args.into_iter().enumerate() {
         debug_assert!(i < cf.n_params);
         slots.push(arg);
@@ -163,7 +115,7 @@ pub(crate) fn new_frame<R: Copy>(
     }
 }
 
-fn check_index<E: Env>(env: &E, arr: usize, idx: Value) -> Result<usize, String> {
+fn check_index(env: &SeqEnv<'_>, arr: usize, idx: Value) -> Result<usize, String> {
     let i = idx.as_i64("array index")?;
     let len = env.array_len(arr);
     if i < 0 || i as usize >= len {
@@ -174,14 +126,14 @@ fn check_index<E: Env>(env: &E, arr: usize, idx: Value) -> Result<usize, String>
 }
 
 /// Executes one instruction of thread `t`. Errors carry the message
-/// only; the driver attributes them to the thread.
-pub(crate) fn step<E: Env>(
-    env: &mut E,
-    ctx: &mut ThreadCtx<E::Ref>,
+/// only; the machine attributes them to the thread.
+pub(crate) fn step(
+    env: &mut SeqEnv<'_>,
+    ctx: &mut ThreadCtx,
     program: &Program,
     code: &CompiledProgram,
     t: usize,
-) -> Result<StepOut<E::Ref>, String> {
+) -> Result<StepOut, String> {
     let (func, pc) = {
         let f = ctx.frames.last().ok_or_else(|| "no frame".to_string())?;
         (f.func, f.pc)
@@ -253,7 +205,7 @@ pub(crate) fn step<E: Env>(
             }
             args.reverse();
             let v = eval_intr(op, &args)?;
-            let taints: Vec<Taint<E::Ref>> = args.iter().map(|&(_, ta)| ta).collect();
+            let taints: Vec<Taint> = args.iter().map(|&(_, ta)| ta).collect();
             let def = env.trace_node(t, TraceOp::Intr(op), id.0, pos, &taints, &ctx.scope);
             ctx.push((v, def));
         }
@@ -307,7 +259,7 @@ pub(crate) fn step<E: Env>(
             ctx.frame_mut().slots[slot.index()] = (v, Taint::Const);
         }
         Inst::LoopEnter { id } => {
-            let instance = env.loop_enter(t, id.0);
+            let instance = env.loop_enter(id.0);
             // iter starts one-before-zero; the first head test wraps to 0.
             ctx.scope.push(ScopeEntry {
                 loop_id: id.0,
@@ -362,7 +314,7 @@ pub(crate) fn step<E: Env>(
 
 // ---- operation semantics ----
 
-pub(crate) fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, String> {
+fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, String> {
     use BinOp::*;
     Ok(match op {
         Add => Value::I64(a.as_i64("add")?.wrapping_add(b.as_i64("add")?)),
@@ -423,7 +375,7 @@ fn bitwise(
     }
 }
 
-pub(crate) fn eval_un(op: UnOp, a: Value) -> Result<Value, String> {
+fn eval_un(op: UnOp, a: Value) -> Result<Value, String> {
     Ok(match op {
         UnOp::Neg => Value::I64(-a.as_i64("neg")?),
         UnOp::FNeg => Value::F64(-a.as_f64("fneg")?),
@@ -433,10 +385,7 @@ pub(crate) fn eval_un(op: UnOp, a: Value) -> Result<Value, String> {
     })
 }
 
-pub(crate) fn eval_intr<R: Copy>(
-    op: Intrinsic,
-    args: &[(Value, Taint<R>)],
-) -> Result<Value, String> {
+fn eval_intr(op: Intrinsic, args: &[Slot]) -> Result<Value, String> {
     Ok(match op {
         Intrinsic::Sqrt => Value::F64(args[0].0.as_f64("sqrt")?.sqrt()),
         Intrinsic::Abs => Value::I64(args[0].0.as_i64("abs")?.abs()),

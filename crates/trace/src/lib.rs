@@ -21,11 +21,8 @@ pub mod compile;
 mod exec;
 mod fp;
 pub mod machine;
-mod par;
 pub mod run;
-mod segment;
 pub mod shadow;
-mod stripe;
 
 pub use compile::compile_program;
 pub use machine::MachineError;

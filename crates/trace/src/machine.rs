@@ -12,12 +12,12 @@
 //! a node labeled with the operation, the executing thread, and the current
 //! dynamic loop scope, and adds def-use arcs from its operands.
 //!
-//! Instruction semantics live in [`crate::exec`], shared with the parallel
-//! tracer; this module owns the scheduler and the synchronization
-//! instructions, which the shared interpreter returns unexecuted.
+//! Instruction semantics live in [`crate::exec`]; this module owns the
+//! scheduler and the synchronization instructions, which the interpreter
+//! returns unexecuted.
 
 use crate::bytecode::{CompiledProgram, Inst, Pos};
-use crate::exec::{self, Env, StepOut, ThreadCtx, TraceOp};
+use crate::exec::{self, Slot, StepOut, ThreadCtx, TraceOp};
 use crate::shadow::{ShadowMemory, Taint};
 use ddg::{DdgBuilder, LabelId, NodeId, ScopeEntry};
 use repro_ir::{BinOp, Intrinsic, Program, UnOp, Value};
@@ -50,9 +50,6 @@ impl std::fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// A value paired with its provenance.
-type Slot = exec::Slot<NodeId>;
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Status {
     Runnable,
@@ -66,7 +63,7 @@ enum Status {
 }
 
 struct Thread {
-    ctx: ThreadCtx<NodeId>,
+    ctx: ThreadCtx,
     status: Status,
 }
 
@@ -75,8 +72,8 @@ struct BarrierState {
     waiting: usize,
 }
 
-/// The sequential driver's interpreter environment: global memory, shadow
-/// memory, and direct-to-builder tracing with final [`NodeId`]s.
+/// The interpreter's environment: global memory, shadow memory, and
+/// direct-to-builder tracing.
 pub(crate) struct SeqEnv<'a> {
     program: &'a Program,
     code: &'a CompiledProgram,
@@ -100,7 +97,7 @@ pub(crate) struct SeqEnv<'a> {
     shadow_writes: u64,
 }
 
-impl<'a> SeqEnv<'a> {
+impl SeqEnv<'_> {
     fn bin_label(&mut self, op: BinOp) -> LabelId {
         let idx = op as usize;
         if let Some(l) = self.bin_labels[idx] {
@@ -130,20 +127,18 @@ impl<'a> SeqEnv<'a> {
         self.intr_labels[idx] = Some(l);
         l
     }
-}
 
-impl<'a> Env for SeqEnv<'a> {
-    type Ref = NodeId;
-
-    fn array_len(&self, arr: usize) -> usize {
+    pub(crate) fn array_len(&self, arr: usize) -> usize {
         self.globals[arr].len()
     }
 
-    fn array_name(&self, arr: usize) -> String {
+    /// The array's source name (error messages only).
+    pub(crate) fn array_name(&self, arr: usize) -> String {
         self.program.globals[arr].name.clone()
     }
 
-    fn load(&mut self, arr: usize, idx: usize) -> (Value, Taint) {
+    /// Reads `arr[idx]`: the value and its provenance.
+    pub(crate) fn load(&mut self, arr: usize, idx: usize) -> Slot {
         if let Some(fp) = &mut self.fp {
             fp.addr(arr, idx);
         }
@@ -155,7 +150,8 @@ impl<'a> Env for SeqEnv<'a> {
         (v, def)
     }
 
-    fn store(&mut self, arr: usize, idx: usize, v: Value, def: Taint) {
+    /// Writes `arr[idx]` with provenance.
+    pub(crate) fn store(&mut self, arr: usize, idx: usize, v: Value, def: Taint) {
         if let Some(fp) = &mut self.fp {
             fp.addr(arr, idx);
         }
@@ -166,7 +162,10 @@ impl<'a> Env for SeqEnv<'a> {
         }
     }
 
-    fn trace_node(
+    /// Records one executed operation as a DDG node: label, def-use
+    /// arcs from `operands`, input/iterator marks. Returns the node as
+    /// provenance ([`Taint::Const`] when not tracing).
+    pub(crate) fn trace_node(
         &mut self,
         t: usize,
         op: TraceOp,
@@ -205,26 +204,34 @@ impl<'a> Env for SeqEnv<'a> {
         Taint::Node(node)
     }
 
-    fn mark_address(&mut self, n: NodeId) {
+    /// The node's value was consumed as an address (or bound).
+    pub(crate) fn mark_address(&mut self, n: NodeId) {
         if self.tracing {
             self.ddg.mark_address_use(n);
         }
     }
 
-    fn mark_control(&mut self, n: NodeId) {
+    /// The node's value was consumed by a branch condition.
+    pub(crate) fn mark_control(&mut self, n: NodeId) {
         if self.tracing {
             self.ddg.mark_control_use(n);
         }
     }
 
-    fn loop_enter(&mut self, _t: usize, loop_id: u32) -> u32 {
+    /// A loop body was entered: returns this activation's dynamic
+    /// instance number for the static loop.
+    pub(crate) fn loop_enter(&mut self, loop_id: u32) -> u32 {
         let instance = self.loop_instances[loop_id as usize];
         self.loop_instances[loop_id as usize] += 1;
         instance
     }
 
+    /// An instruction dispatch (execution fingerprinting hook; see
+    /// [`crate::fp`]). Called before the sync early-return, so every
+    /// dispatch — including a retried blocking instruction — lands in
+    /// the stream.
     #[inline]
-    fn fp_step(&mut self, t: usize, func: usize, pc: usize) {
+    pub(crate) fn fp_step(&mut self, t: usize, func: usize, pc: usize) {
         if let Some(fp) = &mut self.fp {
             fp.step(t, func, pc);
         }
@@ -422,8 +429,8 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Executes one instruction of thread `t`: the shared interpreter for
-    /// ordinary instructions, this driver for synchronization.
+    /// Executes one instruction of thread `t`: the interpreter for
+    /// ordinary instructions, the machine for synchronization.
     fn step(&mut self, t: usize) -> Result<(), MachineError> {
         let program = self.env.program;
         let code = self.env.code;
@@ -444,7 +451,7 @@ impl<'a> Machine<'a> {
     }
 
     /// Executes one synchronization instruction. The pc advances here
-    /// (the shared interpreter returned without touching state);
+    /// (the interpreter returned without touching state);
     /// blocking instructions undo the advance to retry on wake-up.
     fn sync_step(&mut self, t: usize, inst: Inst) -> Result<(), MachineError> {
         self.threads[t].ctx.frame_mut().pc += 1;

@@ -52,20 +52,13 @@ pub struct RunConfig {
     /// Abort the run at this wall-clock instant (request-level deadline;
     /// checked at scheduler-slice granularity).
     pub deadline: Option<Instant>,
-    /// Trace ingestion workers. `0` or `1` selects the sequential
-    /// machine; `>= 2` runs simulated threads on that many concurrent
-    /// pool workers with striped shadow memory and a segment-merged
-    /// DDG — byte-identical output for correctly synchronized programs
-    /// (see `DESIGN.md` §17).
-    pub trace_workers: usize,
     /// Compute an execution fingerprint (see [`crate::fp`]): a streaming
     /// digest over the executed instruction/address stream that
     /// identifies the DDG the run would produce under [`TraceMode::Full`]
     /// — equal fingerprints imply byte-identical DDGs. Combined with
     /// `TraceMode::Off` this is the incremental layer's cheap probe: it
     /// skips all shadow-taint and DDG construction yet still yields the
-    /// DDG's identity. Forces the sequential machine (the parallel
-    /// tracer's segment streams are not in schedule order).
+    /// DDG's identity.
     pub exec_fingerprint: bool,
     /// Injected machine faults (test harness only).
     #[cfg(feature = "fault-inject")]
@@ -82,7 +75,6 @@ impl Default for RunConfig {
             trace: TraceMode::Full,
             max_steps: 500_000_000,
             deadline: None,
-            trace_workers: 1,
             exec_fingerprint: false,
             #[cfg(feature = "fault-inject")]
             fault: None,
@@ -141,12 +133,6 @@ impl RunConfig {
         self
     }
 
-    /// Sets the number of parallel trace ingestion workers.
-    pub fn with_trace_workers(mut self, workers: usize) -> Self {
-        self.trace_workers = workers;
-        self
-    }
-
     /// Requests an execution fingerprint alongside the run.
     pub fn with_exec_fingerprint(mut self, on: bool) -> Self {
         self.exec_fingerprint = on;
@@ -165,8 +151,8 @@ pub struct RunResult {
     pub return_value: Option<Value>,
     /// Executed instruction count.
     pub steps: u64,
-    /// The execution fingerprint, when requested (sequential runs with
-    /// [`RunConfig::exec_fingerprint`] set).
+    /// The execution fingerprint, when requested
+    /// ([`RunConfig::exec_fingerprint`]).
     pub exec_fp: Option<u128>,
 }
 
@@ -246,41 +232,6 @@ pub fn run(program: &Program, config: &RunConfig) -> Result<RunResult, MachineEr
         #[cfg(feature = "fault-inject")]
         fault: config.fault,
     };
-
-    // Injected faults hook the sequential step loop, so fault runs
-    // always take the sequential machine regardless of worker count.
-    #[cfg(feature = "fault-inject")]
-    let fault_free = config.fault.is_none();
-    #[cfg(not(feature = "fault-inject"))]
-    let fault_free = true;
-    // Fingerprinting folds the schedule-order instruction stream, which
-    // only the sequential machine materializes.
-    if config.trace_workers >= 2 && fault_free && !config.exec_fingerprint {
-        let out = crate::par::run_parallel(
-            program,
-            &code,
-            globals,
-            &participants,
-            tracing,
-            iterator_ops,
-            limits,
-            config.entry_args.clone(),
-            config.trace_workers,
-        )?;
-        let arrays = program
-            .globals
-            .iter()
-            .zip(out.arrays)
-            .map(|(g, data)| (g.name.clone(), data))
-            .collect();
-        return Ok(RunResult {
-            ddg: out.ddg,
-            arrays,
-            return_value: out.return_value,
-            steps: out.steps,
-            exec_fp: None,
-        });
-    }
 
     let mut m = Machine::new(
         program,
@@ -631,10 +582,7 @@ mod tests {
             let cfg = RunConfig::default()
                 .with_f64("in", data)
                 .with_barrier_participants(2)
-                .with_exec_fingerprint(true)
-                // Forced back to the sequential machine: the parallel
-                // tracer cannot fold a schedule-ordered stream.
-                .with_trace_workers(4);
+                .with_exec_fingerprint(true);
             let r = run(&p, &cfg).unwrap();
             (r.exec_fp.unwrap(), r.f64s("out"))
         };

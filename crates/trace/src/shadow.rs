@@ -16,25 +16,20 @@ use ddg::NodeId;
 /// program's input data, whose "definitions" the paper draws as sourceless
 /// arcs); `Const` is a value computed only from literals; `Node` is a traced
 /// operation execution.
-///
-/// Generic over the node reference: the sequential machine uses final
-/// [`NodeId`]s directly, while the parallel tracer's workers use
-/// segment-local references that the merge later maps to the ids the
-/// sequential machine would have assigned.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Taint<R = NodeId> {
+pub enum Taint {
     /// Untraced constant.
     Const,
     /// Raw program input.
     Input,
     /// Defined by a DDG node.
-    Node(R),
+    Node(NodeId),
 }
 
-impl<R: Copy> Taint<R> {
+impl Taint {
     /// The defining node, when there is one.
     #[inline]
-    pub fn node(self) -> Option<R> {
+    pub fn node(self) -> Option<NodeId> {
         match self {
             Taint::Node(n) => Some(n),
             _ => None,

@@ -19,9 +19,7 @@
 //! `--trace-out <path>` switches span tracing on and writes a Chrome
 //! trace (open in <https://ui.perfetto.dev>); `--metrics-json <path>`
 //! writes the flat `ObsReport`; `--bench <name>` (repeatable) restricts
-//! the batch to the named Starbench programs; `--trace-workers <n>`
-//! shards trace ingestion across `n` workers per analysis (the DDGs
-//! stay byte-identical to the sequential machine's — DESIGN.md §17).
+//! the batch to the named Starbench programs.
 
 use repro_engine::{AnalysisRequest, Engine, EngineConfig};
 use starbench::{all_benchmarks, Version};
@@ -39,7 +37,6 @@ fn parse_or_exit<T: std::str::FromStr>(flag: &str, value: &str) -> T {
 
 fn main() {
     let mut workers = 0usize;
-    let mut trace_workers = 1usize;
     let mut budget_ms = 60_000u64;
     let mut trace_out: Option<PathBuf> = None;
     let mut metrics_json: Option<PathBuf> = None;
@@ -65,10 +62,6 @@ fn main() {
                 only.push(name);
             }
             "--workers" => workers = parse_or_exit("--workers", &take("--workers")),
-            "--trace-workers" => {
-                trace_workers =
-                    parse_or_exit::<usize>("--trace-workers", &take("--trace-workers")).max(1);
-            }
             "--budget-ms" => budget_ms = parse_or_exit("--budget-ms", &take("--budget-ms")),
             _ => positional.push(arg),
         }
@@ -95,7 +88,7 @@ fn main() {
             requests.push(AnalysisRequest {
                 id: format!("{}-{}", bench.name, version.name()),
                 program: bench.program(version),
-                input: (bench.analysis_input)().with_trace_workers(trace_workers),
+                input: (bench.analysis_input)(),
                 config: config.clone(),
             });
         }
