@@ -12,8 +12,9 @@
 //!    sub-DDGs (weakly connected same-operator regions);
 //! 3. compaction ([`quotient`]) — collapse each loop iteration into one
 //!    node;
-//! 4. [`models`] — match each active sub-DDG against the combinatorial
-//!    pattern models of §4 with the `cp` solver;
+//! 4. [`models`] — match each active sub-DDG against the pattern models
+//!    of §4: direct constraint checks plus one bounded backtracking
+//!    search;
 //! 5. [`finder`] — the iterative scheme: *subtract* matches from pool
 //!    sub-DDGs (exposing maps hidden in complex loops) and *fuse* adjacent
 //!    compatible sub-DDGs (building map-reductions), until a fixpoint;

@@ -2,14 +2,13 @@
 //! cancel flag with an optional wall-clock deadline.
 //!
 //! The paper's tool bounds each *solver run* at 60 seconds; a production
-//! service also needs *request-level* deadlines that span many solver
+//! service also needs *request-level* deadlines that span many matcher
 //! runs (and the tracing and decomposition around them). A [`CancelToken`]
 //! is the carrier: the request owner creates one, every layer that loops
-//! — the finder's iterations, a matcher's backtracking search, this
-//! crate's DFS — polls [`CancelToken::is_expired`] at its natural
-//! checkpoint and winds down with best-so-far results. Nothing is
-//! preempted; cancellation is purely cooperative, so invariants hold at
-//! every exit.
+//! — the finder's iterations, a matcher's backtracking search — polls
+//! [`CancelToken::is_expired`] at its natural checkpoint and winds down
+//! with best-so-far results. Nothing is preempted; cancellation is
+//! purely cooperative, so invariants hold at every exit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

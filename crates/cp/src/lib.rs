@@ -1,34 +1,12 @@
-//! `cp` — a finite-domain constraint solver.
+//! `cp` — cooperative cancellation for the pattern matchers.
 //!
-//! The paper implements its pattern definitions "as combinatorial models
-//! with finite-domain variables and constraints" in MiniZinc and matches
-//! them with the Chuffed solver under a 60-second budget (§5, §6). This
-//! crate is the reproduction's stand-in: a small but real CP kernel —
-//!
-//! * integer variables with bitset domains ([`Store`]),
-//! * a propagation engine with per-variable watch lists and a trail for
-//!   chronological backtracking,
-//! * user-defined [`Propagator`]s (the pattern models in the `discovery`
-//!   crate are custom global constraints over DDG structure),
-//! * depth-first [`Search`] with first-fail branching, solution
-//!   enumeration, maximization of non-zero coverage (the pattern models
-//!   maximize the number of nodes assigned to components), and a time
-//!   budget with best-so-far semantics.
-//!
-//! The solver is deliberately general: nothing in this crate knows about
-//! DDGs or patterns, and the unit tests exercise it on classic CSPs
-//! (n-queens, graph coloring).
+//! The paper matches its pattern models with a MiniZinc/Chuffed run per
+//! sub-DDG under a per-run time budget (§5, §6). This reproduction
+//! matches with direct constraint checks plus one bounded backtracking
+//! search (DESIGN.md §8), so what remains of a solver crate is the
+//! [`CancelToken`] that carries request deadlines into every loop that
+//! polls one.
 
-pub mod builtin;
-pub mod cancel;
-pub mod domain;
-pub mod propagator;
-pub mod search;
-pub mod store;
+mod cancel;
 
-pub use builtin::{AllDifferent, NonZeroAtLeast, NotEqual};
 pub use cancel::CancelToken;
-pub use domain::Domain;
-pub use propagator::{Propagation, Propagator};
-pub use search::{Outcome, Search, SearchStats};
-pub use store::{Store, VarId};

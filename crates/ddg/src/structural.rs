@@ -38,20 +38,8 @@ pub struct StructuralKey {
 }
 
 impl StructuralKey {
-    /// A short fingerprint for metrics/logging (FNV-1a over the words).
-    /// Only the full key is used for cache lookups.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &w in &self.words {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h
-    }
-
-    /// Size of the encoding in 64-bit words (diagnostics only).
+    /// Size of the encoding in 64-bit words (the match cache's byte
+    /// accounting).
     pub fn len_words(&self) -> usize {
         self.words.len()
     }

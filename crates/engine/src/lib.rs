@@ -14,37 +14,31 @@
 //!   to the sequential `discovery::find_patterns` no matter how jobs
 //!   interleave (subtraction and fusion stay sequential on the
 //!   coordinator — they are the cheap, order-sensitive part);
-//! - across requests (and iterations), a [`cache::MatchCache`] memoizes
-//!   match outcomes under the canonical structural key of the compacted
-//!   sub-DDG view, so op-isomorphic views match once;
+//! - across requests (and iterations), a [`repro_query::MatchCache`]
+//!   memoizes match outcomes under the canonical structural key of the
+//!   compacted sub-DDG view, so op-isomorphic views match once;
 //! - finished [`AnalysisResult`]s stream to the caller over a bounded
 //!   channel in completion order, with per-phase wall times and
 //!   cache/pool counters for the evaluation harness (Fig. 7, Table 3).
 //!
 //! The match cache is the top layer of the content-addressed
 //! [`repro_query::QueryDb`] (DESIGN.md §18). [`Engine::new`] builds a
-//! *match-only* DB — batch workloads behave exactly as before — while
-//! [`Engine::with_query`] accepts a shared *full* DB whose trace,
-//! sub-DDG, and find stages let repeated or lightly-edited requests
-//! skip whole phases of the pipeline.
+//! default-sized *match-only* DB, while [`Engine::with_query`] accepts a
+//! caller-sized DB — a *full* one's trace, sub-DDG, and find stages let
+//! repeated or lightly-edited requests skip whole phases of the
+//! pipeline.
 
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod pool;
 
-/// The match cache's original home; PR 10 moved it into `repro-query`
-/// as the query layer's match stage. Re-exported here so existing
-/// `repro_engine::cache::...` paths keep resolving.
-pub use repro_query::match_cache as cache;
-
 use cp::CancelToken;
 use discovery::models::{match_subddg_full, MatchOutcome};
 use discovery::{FinderConfig, FinderResult, FrontEnd, SubDdg};
 use pool::{PoolMetrics, WorkPool};
-use repro_query::match_cache::{MatchCache, Probe};
 use repro_query::{
     find_key, fingerprint_finder_config, fingerprint_input, subddg_key, trace_key, ExecEntry,
-    FindArtifact, QueryDb, TraceArtifact,
+    FindArtifact, Probe, QueryConfig, QueryDb, TraceArtifact,
 };
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -262,19 +256,6 @@ pub struct EngineConfig {
     /// Requests analyzed concurrently (coordinator threads); 0 mirrors
     /// `workers`.
     pub max_concurrent_requests: usize,
-    /// Memoize match outcomes across requests.
-    pub use_cache: bool,
-    /// Match-cache entry bound (0 = unbounded); the least recently used
-    /// entry of the inserting shard is evicted when a shard runs over.
-    /// Defaults to [`cache::DEFAULT_CACHE_CAPACITY`] so long-lived
-    /// engines — the serving daemon, or repeated large batches — hold a
-    /// bounded footprint.
-    pub cache_capacity: usize,
-    /// Match-cache *byte* bound (0 = unbounded, the default): entries
-    /// vary in size, so deployments that must bound resident memory —
-    /// not just entry count — set this and eviction honors whichever
-    /// cap trips first.
-    pub cache_capacity_bytes: usize,
     /// Bound of the result channel; a full channel backpressures the
     /// coordinators.
     pub results_capacity: usize,
@@ -285,9 +266,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 0,
             max_concurrent_requests: 0,
-            use_cache: true,
-            cache_capacity: cache::DEFAULT_CACHE_CAPACITY,
-            cache_capacity_bytes: 0,
             results_capacity: 16,
         }
     }
@@ -321,24 +299,19 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// A match-only engine: exactly the pre-incremental behavior. The
+    /// A match-only engine over a default-sized match cache. The
     /// pipeline stages stay off so batch metrics (cache hits on
     /// repeated programs, per-request trace times) are undisturbed.
     pub fn new(config: EngineConfig) -> Engine {
-        let db = Arc::new(QueryDb::match_only(
-            config.use_cache,
-            config.cache_capacity,
-            config.cache_capacity_bytes,
-        ));
+        let db = Arc::new(QueryDb::match_only(QueryConfig::default()));
         Engine::with_query(config, db)
     }
 
-    /// An engine sharing a caller-owned query DB. With a *full* DB
-    /// (`QueryDb::full`), repeated inputs replay their trace and find
-    /// phases instead of recomputing them; the daemon and the
-    /// incremental bench construct their engines this way. The DB's own
-    /// match-stage settings win over the corresponding
-    /// [`EngineConfig`] fields.
+    /// An engine sharing a caller-owned query DB, which also sizes the
+    /// match cache. With a *full* DB (`QueryDb::full`), repeated inputs
+    /// replay their trace and find phases instead of recomputing them;
+    /// the daemon and the incremental bench construct their engines
+    /// this way.
     pub fn with_query(config: EngineConfig, db: Arc<QueryDb>) -> Engine {
         Engine {
             pool: Arc::new(WorkPool::new(config.effective_workers())),
@@ -476,25 +449,25 @@ impl Engine {
             jobs_panicked,
             workers_respawned,
         } = self.pool.metrics();
-        let cache = self.db.match_cache();
+        let cache = self.db.match_cache().metrics();
         EngineMetrics {
             workers: self.pool.worker_count(),
             jobs_executed,
             jobs_stolen,
             peak_queue_depth,
             requests_completed: self.completed.load(Ordering::Relaxed),
-            cache_entries: cache.entries(),
-            cache_capacity: cache.capacity(),
-            cache_capacity_bytes: cache.capacity_bytes(),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            cache_evictions: cache.evictions(),
-            cache_bytes: cache.approx_bytes(),
+            cache_entries: cache.entries,
+            cache_capacity: cache.capacity,
+            cache_capacity_bytes: cache.capacity_bytes,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            cache_bytes: cache.approx_bytes,
             jobs_panicked,
             match_faults: self.faults.load(Ordering::Relaxed),
             requests_degraded: self.degraded.load(Ordering::Relaxed),
             requests_failed: self.failed.load(Ordering::Relaxed),
-            cache_poison_recoveries: cache.poison_recoveries(),
+            cache_poison_recoveries: cache.poison_recoveries,
             workers_respawned,
         }
     }
@@ -593,7 +566,7 @@ fn run_request(
         Some(d) => CancelToken::with_deadline(d),
         None => CancelToken::new(),
     };
-    let cache: &MatchCache = db.match_cache();
+    let cache = db.match_cache();
 
     // Content-address the request. Only complete, deadline-free-at-cache
     // artifacts are ever stored, so a hit is always safe to replay.
@@ -1028,11 +1001,16 @@ mod tests {
             max_concurrent_requests: 1,
             ..EngineConfig::default()
         });
-        let uncached = Engine::new(EngineConfig {
-            workers: 4,
-            use_cache: false,
-            ..EngineConfig::default()
-        });
+        let uncached = Engine::with_query(
+            EngineConfig {
+                workers: 4,
+                ..EngineConfig::default()
+            },
+            Arc::new(QueryDb::match_only(QueryConfig {
+                match_enabled: false,
+                ..QueryConfig::default()
+            })),
+        );
         let a = cached.analyze_all(vec![map_request("x", 5), map_request("y", 5)]);
         let b = uncached.analyze_all(vec![map_request("x", 5), map_request("y", 5)]);
         assert!(cached.metrics().cache_hits > 0);

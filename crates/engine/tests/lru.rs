@@ -5,6 +5,8 @@
 //! and the per-request counters reconcile with the engine totals.
 
 use repro_engine::{AnalysisRequest, Engine, EngineConfig};
+use repro_query::{QueryConfig, QueryDb};
+use std::sync::Arc;
 
 /// A map-shaped request over `elems` elements; distinct `elems` values
 /// produce structurally distinct sub-DDGs (different cache keys).
@@ -34,13 +36,18 @@ fn alternating_batch() -> Vec<AnalysisRequest> {
 }
 
 fn engine_with(cache_capacity: usize, use_cache: bool) -> Engine {
-    Engine::new(EngineConfig {
-        workers: 2,
-        max_concurrent_requests: 1, // deterministic probe order
-        use_cache,
-        cache_capacity,
-        ..EngineConfig::default()
-    })
+    Engine::with_query(
+        EngineConfig {
+            workers: 2,
+            max_concurrent_requests: 1, // deterministic probe order
+            ..EngineConfig::default()
+        },
+        Arc::new(QueryDb::match_only(QueryConfig {
+            match_enabled: use_cache,
+            match_capacity: cache_capacity,
+            ..QueryConfig::default()
+        })),
+    )
 }
 
 /// The comparable bytes of a finder result (pattern structure and

@@ -125,33 +125,13 @@ fn tracing_is_invisible_to_results_and_emits_a_valid_chrome_trace() {
         );
     }
 
-    // The CP solver's spans and counters (the solver kernel is not on
-    // the engine's matching path, so drive a tiny search directly).
-    obs::enable();
-    let mut search = cp::search::search_with(|store| {
-        let a = store.new_var(0, 2);
-        let b = store.new_var(0, 2);
-        vec![Box::new(cp::NotEqual::new(a, b)) as Box<dyn cp::Propagator>]
-    });
-    assert!(matches!(search.solve_first(), cp::Outcome::Solution { .. }));
-    obs::disable();
-    let cp_doc = obs::chrome_trace_json(&obs::take_events());
-    let cp_summary = obs::validate_chrome_trace(&cp_doc).expect("cp trace must validate");
-    assert!(cp_summary.begins > 0);
-    assert!(
-        cp_doc.contains("\"name\":\"cp.search\""),
-        "trace is missing \"cp.search\" spans"
-    );
-
     // Metrics made it into the registry alongside the spans.
     let mut report = obs::ObsReport::snapshot();
     report.meta("experiment", "engine-obs-test");
     let json = report.to_json();
     obs::validate_metrics_json(&json, &[]).expect("metrics report must validate");
-    for counter in ["trace.steps", "cp.decisions"] {
-        assert!(
-            json.contains(counter),
-            "metrics report is missing the {counter:?} counter"
-        );
-    }
+    assert!(
+        json.contains("trace.steps"),
+        "metrics report is missing the \"trace.steps\" counter"
+    );
 }

@@ -14,18 +14,20 @@
 //! | `exec`    | execution fingerprint                 | [`ExecEntry`] (which DDG this stream produces) |
 //! | `subddg`  | ddg fp ⊕ simplify flag ⊕ task index   | extracted sub-DDG pool slice |
 //! | `find`    | ddg fp ⊕ finder-config fp             | [`FindArtifact`] (complete finder result) |
-//! | `match`   | [`ddg::StructuralKey`] ⊕ budget       | match outcome in group space |
+//! | `match`   | [`ddg::StructuralKey`] ⊕ class ⊕ budget | match outcome in group space |
 //!
-//! Because keys are content hashes, *invalidation is implicit*: an
-//! edit produces new keys and simply misses, while unchanged functions,
-//! traces, and structures keep hitting. No entry can go stale, so the
-//! stores record no dependency edges; every stage is LRU-bounded, and
+//! Because keys are content hashes (the match stage's exact structural
+//! key included), *invalidation is implicit*: an edit produces new keys
+//! and simply misses, while unchanged functions, traces, and structures
+//! keep hitting. No entry can go stale, so the stores record no
+//! dependency edges; every stage is one LRU-bounded [`Store`], and
 //! eviction is the only way an entry leaves.
 //!
-//! The match stage is the structural-hash [`MatchCache`] that PRs 1/6
-//! grew (moved here intact, engine re-exports it at its old path); its
-//! group-index-space encoding is what lets sub-DDGs from an *edited*
-//! program hit match outcomes recorded for the unedited one.
+//! The match stage's [`MatchCache`] is a codec over its store: it keys
+//! each sub-DDG by dispatch class, exact structural key and budget, and
+//! stores outcomes in group-index space — which is what lets sub-DDGs
+//! from an *edited* program hit match outcomes recorded for the
+//! unedited one.
 //!
 //! The trace, exec, and find stages persist across daemon restarts
 //! ([`persist`]): versioned append-only segments, loaded on start,
@@ -37,7 +39,7 @@ pub mod persist;
 pub mod store;
 
 pub use artifact::{ExecEntry, FindArtifact, TraceArtifact};
-pub use match_cache::{CacheMetrics, MatchCache, PendingEntry, Probe, DEFAULT_CACHE_CAPACITY};
+pub use match_cache::{MatchCache, PendingEntry, Probe, DEFAULT_CACHE_CAPACITY};
 pub use persist::{load_dir, save_dir, LoadReport, CACHE_SCHEMA_VERSION};
 pub use store::{Store, StoreMetrics};
 
@@ -49,12 +51,13 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use trace::RunConfig;
 
-/// Sizing for the full query DB. Every pipeline stage store gets the
-/// same entry/byte caps; the match stage keeps its own (it has an
-/// order of magnitude more, smaller, entries).
+/// Sizing for the query DB. Every pipeline stage store gets the same
+/// entry/byte caps; the match stage keeps its own (it has an order of
+/// magnitude more, smaller, entries), and a match-only DB reads only
+/// those.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryConfig {
-    /// Match-stage LRU toggles and caps (PR 6 semantics).
+    /// Match-stage toggle and entry/byte caps (0 = unbounded).
     pub match_enabled: bool,
     pub match_capacity: usize,
     pub match_capacity_bytes: usize,
@@ -89,25 +92,25 @@ pub struct QueryStats {
     pub exec: StoreMetrics,
     pub subddg: StoreMetrics,
     pub find: StoreMetrics,
-    pub match_cache: CacheMetrics,
+    pub match_cache: StoreMetrics,
 }
 
 struct Stages {
-    programs: Store<Program>,
-    fnir: Store<CachedFnIr>,
-    trace: Store<TraceArtifact>,
-    exec: Store<ExecEntry>,
-    subddg: Store<Vec<SubDdg>>,
-    find: Store<FindArtifact>,
+    programs: Store<ContentHash, Program>,
+    fnir: Store<ContentHash, CachedFnIr>,
+    trace: Store<ContentHash, TraceArtifact>,
+    exec: Store<ContentHash, ExecEntry>,
+    subddg: Store<ContentHash, Vec<SubDdg>>,
+    find: Store<ContentHash, FindArtifact>,
 }
 
 /// The shared, cross-request memo database. One instance lives behind
 /// an `Arc` in the engine (and the daemon), shared by every worker.
 ///
 /// Two construction modes:
-/// - [`QueryDb::match_only`] — just the match-stage LRU, exactly the
-///   PR 6 cache. This is what `Engine::new` builds: batch workloads
-///   keep their existing behavior and metrics.
+/// - [`QueryDb::match_only`] — just the match stage. This is what
+///   `Engine::new` builds: batch workloads memoize matching and
+///   nothing else.
 /// - [`QueryDb::full`] — all seven stages. This is what the daemon and
 ///   the incremental bench build: repeated and edited requests reuse
 ///   every unchanged stage.
@@ -117,10 +120,10 @@ pub struct QueryDb {
 }
 
 impl QueryDb {
-    /// Match-stage only (the pre-incremental engine cache, unchanged).
-    pub fn match_only(enabled: bool, capacity: usize, capacity_bytes: usize) -> QueryDb {
+    /// Match stage only, sized by `config`'s `match_*` fields.
+    pub fn match_only(config: QueryConfig) -> QueryDb {
         QueryDb {
-            match_cache: MatchCache::with_capacities(enabled, capacity, capacity_bytes),
+            match_cache: MatchCache::from_config(&config),
             stages: None,
         }
     }
@@ -128,11 +131,7 @@ impl QueryDb {
     /// The full pipeline DB.
     pub fn full(config: QueryConfig) -> QueryDb {
         QueryDb {
-            match_cache: MatchCache::with_capacities(
-                config.match_enabled,
-                config.match_capacity,
-                config.match_capacity_bytes,
-            ),
+            match_cache: MatchCache::from_config(&config),
             stages: Some(Stages {
                 programs: Store::new(
                     "program",
@@ -166,7 +165,7 @@ impl QueryDb {
     // ---- program stage ----
 
     pub fn program_get(&self, source_fp: ContentHash) -> Option<Arc<Program>> {
-        self.stages.as_ref()?.programs.get(source_fp)
+        self.stages.as_ref()?.programs.get(&source_fp)
     }
 
     pub fn program_put(&self, source_fp: ContentHash, program: Arc<Program>) {
@@ -183,7 +182,7 @@ impl QueryDb {
     // ---- trace stage ----
 
     pub fn trace_get(&self, key: ContentHash) -> Option<Arc<TraceArtifact>> {
-        self.stages.as_ref()?.trace.get(key)
+        self.stages.as_ref()?.trace.get(&key)
     }
 
     pub fn trace_put(&self, key: ContentHash, artifact: TraceArtifact) {
@@ -199,7 +198,7 @@ impl QueryDb {
     /// of resident entries is also the engine's gate for running the
     /// fingerprint probe at all ([`QueryDb::exec_len`]).
     pub fn exec_get(&self, exec_fp: ContentHash) -> Option<ExecEntry> {
-        self.stages.as_ref()?.exec.get(exec_fp).map(|e| *e)
+        self.stages.as_ref()?.exec.get(&exec_fp).map(|e| *e)
     }
 
     pub fn exec_put(&self, exec_fp: ContentHash, entry: ExecEntry) {
@@ -218,7 +217,7 @@ impl QueryDb {
     // ---- sub-DDG stage ----
 
     pub fn subddg_get(&self, key: ContentHash) -> Option<Arc<Vec<SubDdg>>> {
-        self.stages.as_ref()?.subddg.get(key)
+        self.stages.as_ref()?.subddg.get(&key)
     }
 
     pub fn subddg_put(&self, key: ContentHash, subs: Arc<Vec<SubDdg>>) {
@@ -241,7 +240,7 @@ impl QueryDb {
     // ---- find stage ----
 
     pub fn find_get(&self, key: ContentHash) -> Option<Arc<FindArtifact>> {
-        self.stages.as_ref()?.find.get(key)
+        self.stages.as_ref()?.find.get(&key)
     }
 
     pub fn find_put(&self, key: ContentHash, artifact: FindArtifact) {
@@ -258,7 +257,7 @@ impl QueryDb {
     pub fn export_trace(&self) -> Vec<(ContentHash, Arc<TraceArtifact>)> {
         let mut out = Vec::new();
         if let Some(s) = &self.stages {
-            s.trace.for_each(|k, v| out.push((k, Arc::clone(v))));
+            s.trace.for_each(|k, v| out.push((*k, Arc::clone(v))));
         }
         out.sort_by_key(|(k, _)| k.0);
         out
@@ -269,7 +268,7 @@ impl QueryDb {
     pub fn export_exec(&self) -> Vec<(ContentHash, ExecEntry)> {
         let mut out = Vec::new();
         if let Some(s) = &self.stages {
-            s.exec.for_each(|k, v| out.push((k, **v)));
+            s.exec.for_each(|k, v| out.push((*k, **v)));
         }
         out.sort_by_key(|(k, _)| k.0);
         out
@@ -280,7 +279,7 @@ impl QueryDb {
     pub fn export_find(&self) -> Vec<(ContentHash, Arc<FindArtifact>)> {
         let mut out = Vec::new();
         if let Some(s) = &self.stages {
-            s.find.for_each(|k, v| out.push((k, Arc::clone(v))));
+            s.find.for_each(|k, v| out.push((*k, Arc::clone(v))));
         }
         out.sort_by_key(|(k, _)| k.0);
         out
@@ -311,7 +310,7 @@ impl FnIrCache for QueryDb {
         self.stages
             .as_ref()?
             .fnir
-            .get(key)
+            .get(&key)
             .map(|arc| (*arc).clone())
     }
 
@@ -588,7 +587,10 @@ mod tests {
 
     #[test]
     fn match_only_db_ignores_stage_calls() {
-        let db = QueryDb::match_only(true, 16, 0);
+        let db = QueryDb::match_only(QueryConfig {
+            match_capacity: 16,
+            ..QueryConfig::default()
+        });
         assert!(!db.is_full());
         assert!(db.fn_ir_cache().is_none());
         let k = fingerprint_str_local("k");

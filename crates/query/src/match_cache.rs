@@ -28,33 +28,20 @@
 //! map/reduction split from the `SubKind::Fused` payload (raw node
 //! sets), which the group-level key does not see.
 //!
-//! **Bounded growth.** The table is a *size-capped sharded LRU*: a
-//! long-lived engine (the `repro-serve` daemon, or a large batch) keeps
-//! at most [`MatchCache::capacity`] entries, evicting the least recently
-//! touched entry of the inserting shard. Recency is tracked lazily — a
-//! touch appends a `(key, stamp)` pair to the shard's recency queue and
-//! eviction skips stale pairs — so probes stay O(1) amortized. Evictions
-//! and an approximate byte footprint are counted alongside hits and
-//! misses; an evicted entry is recomputed (and re-inserted) on its next
-//! miss, byte-identical to the first computation.
-//!
-//! Entry counts bound nothing when entries vary in size — a cache of
-//! 4096 two-node chains and one of 4096 thousand-group views are orders
-//! of magnitude apart — so the table optionally takes a second, *byte*
-//! cap ([`MatchCache::capacity_bytes`]). Eviction honors whichever cap
-//! trips first: the LRU loop keeps popping until the shard is under
-//! both its entry and its byte budget. An entry bigger than a shard's
-//! whole byte budget is evicted as soon as the next insert lands (it
-//! can never fit), which only costs recomputation — never wrong data.
+//! **Bounded growth.** The table is the query layer's `match` stage: one
+//! [`Store`] keyed by the exact structural key, bounded by
+//! [`QueryConfig`]'s match entry and byte caps like every other stage.
+//! An evicted entry is recomputed (and re-inserted) on its next miss,
+//! byte-identical to the first computation.
 
+use crate::store::{ShardKey, Store, StoreMetrics};
+use crate::QueryConfig;
 use ddg::{Ddg, NodeId, StructuralKey};
 use discovery::models::MatchBudget;
 use discovery::patterns::Detail;
 use discovery::{Pattern, PatternKind, SubDdg, SubKind};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dispatch classes of the non-fused sub-DDG kinds. The finder matches
 /// loop-shaped views against map-then-linear and associative views
@@ -83,6 +70,8 @@ struct CacheKey {
     key: StructuralKey,
     budget_ms: u64,
 }
+
+impl ShardKey for CacheKey {}
 
 /// A match outcome in group-index space.
 enum CachedMatch {
@@ -115,238 +104,25 @@ pub struct PendingEntry {
     key: CacheKey,
 }
 
-/// Maximum shard count: enough to spread concurrent workers, small
-/// enough that clearing one poisoned shard (or evicting from one) loses
-/// little. Small capacities use fewer shards so the global bound is
-/// exact (see [`MatchCache::with_capacity`]).
-const SHARDS: usize = 16;
-
 /// Default entry capacity when the caller does not size the cache
-/// (the engine's `cache_capacity` config defaults to this): large
-/// enough that a full starbench batch never evicts, small enough that a
+/// ([`QueryConfig`]'s `match_capacity` defaults to this): large enough
+/// that a full starbench batch never evicts, small enough that a
 /// resident daemon's footprint stays bounded.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// Counter snapshot ([`MatchCache::metrics`]).
-#[derive(Clone, Copy, Debug, Default, serde::Serialize)]
-pub struct CacheMetrics {
-    pub entries: usize,
-    /// Entry capacity (0 = unbounded).
-    pub capacity: usize,
-    /// Byte capacity (0 = unbounded); eviction honors whichever of the
-    /// entry and byte caps trips first.
-    pub capacity_bytes: usize,
-    pub hits: u64,
-    pub misses: u64,
-    /// Entries dropped to keep the table under capacity.
-    pub evictions: u64,
-    /// Approximate resident footprint of keys + entries, in bytes.
-    pub approx_bytes: u64,
-    /// Poisoned shards recovered (cleared and reused). Each event is a
-    /// shard's worth of memoized outcomes dropped, never wrong data
-    /// served.
-    pub poison_recoveries: u64,
-}
-
-/// One LRU-tracked slot.
-struct Slot {
-    entry: Option<CachedMatch>,
-    /// Last-touch stamp; recency-queue pairs with an older stamp are
-    /// stale and skipped at eviction time.
-    stamp: u64,
-    bytes: usize,
-}
-
-/// One shard: the memo map plus its lazy recency queue. All state that
-/// eviction and poison recovery must keep coherent lives under one lock.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<Arc<CacheKey>, Slot>,
-    /// `(key, stamp)` in touch order; an entry's *current* stamp lives
-    /// in its [`Slot`], so only the newest pair per key is live.
-    recency: VecDeque<(Arc<CacheKey>, u64)>,
-    clock: u64,
-    bytes: usize,
-}
-
-impl Shard {
-    /// Records a touch of an existing slot.
-    fn touch(&mut self, key: &CacheKey) {
-        let Some((k, _)) = self.map.get_key_value(key) else {
-            return;
-        };
-        let k = Arc::clone(k);
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(key).unwrap().stamp = clock;
-        self.recency.push_back((k, clock));
-    }
-
-    /// Clears everything (poison recovery).
-    fn clear(&mut self) {
-        self.map.clear();
-        self.recency.clear();
-        self.bytes = 0;
-    }
-
-    /// Inserts an entry, then evicts least-recently-touched entries
-    /// until the shard is back under `cap` entries *and* `byte_cap`
-    /// approximate bytes — whichever cap trips first keeps evicting.
-    /// Returns evictions performed.
-    fn insert(
-        &mut self,
-        key: CacheKey,
-        entry: Option<CachedMatch>,
-        cap: usize,
-        byte_cap: usize,
-    ) -> u64 {
-        self.clock += 1;
-        let bytes = approx_bytes(&key, &entry);
-        let key = Arc::new(key);
-        let old = self.map.insert(
-            Arc::clone(&key),
-            Slot {
-                entry,
-                stamp: self.clock,
-                bytes,
-            },
-        );
-        self.bytes += bytes;
-        if let Some(old) = old {
-            self.bytes -= old.bytes;
-        }
-        self.recency.push_back((key, self.clock));
-        let mut evicted = 0;
-        while (self.map.len() > cap || self.bytes > byte_cap) && !self.map.is_empty() {
-            match self.recency.pop_front() {
-                Some((k, stamp)) => {
-                    // Live pair (stamp matches the slot's): evict. Stale
-                    // pair (entry touched again later, or already gone):
-                    // skip; its live pair is further back.
-                    if self.map.get(&*k).is_some_and(|slot| slot.stamp == stamp) {
-                        let slot = self.map.remove(&*k).unwrap();
-                        self.bytes -= slot.bytes;
-                        evicted += 1;
-                    }
-                }
-                None => break, // unreachable: map entries all have pairs
-            }
-        }
-        // Compact the lazy queue when stale pairs dominate, so repeated
-        // touches of a hot entry cannot grow it without bound.
-        if self.recency.len() > 4 * self.map.len() + 16 {
-            let map = &self.map;
-            self.recency
-                .retain(|(k, stamp)| map.get(&**k).is_some_and(|slot| slot.stamp == *stamp));
-        }
-        evicted
-    }
-}
-
-/// The shared, thread-safe memo table, sharded by key hash, each shard
-/// an LRU bounded at `capacity / shard-count` entries.
+/// The match stage: probe/fulfil over one shared, thread-safe [`Store`]
+/// of group-space outcomes (`None` = a memoized no-match).
 pub struct MatchCache {
     enabled: bool,
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard entry bound (`capacity == 0` means unbounded).
-    shard_cap: usize,
-    capacity: usize,
-    /// Per-shard byte bound (`capacity_bytes == 0` means unbounded).
-    shard_byte_cap: usize,
-    capacity_bytes: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    poison_recoveries: AtomicU64,
+    store: Store<CacheKey, Option<CachedMatch>>,
 }
 
 impl MatchCache {
-    /// A cache with the default capacity ([`DEFAULT_CACHE_CAPACITY`]).
-    pub fn new(enabled: bool) -> MatchCache {
-        MatchCache::with_capacity(enabled, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// A cache bounded at `capacity` entries (0 = unbounded). Capacities
-    /// below the preferred shard count use one shard per entry so the
-    /// global bound — and the eviction order — stays exact; a
-    /// `capacity`-1 cache is a single deterministic LRU slot. Larger
-    /// capacities split across [`SHARDS`] shards, each bounded at
-    /// `capacity / SHARDS` (the effective total rounds down to a
-    /// multiple of the shard count — never above `capacity`).
-    pub fn with_capacity(enabled: bool, capacity: usize) -> MatchCache {
-        MatchCache::with_capacities(enabled, capacity, 0)
-    }
-
-    /// A cache bounded at `capacity` entries *and* `capacity_bytes`
-    /// approximate bytes (0 = unbounded, independently per cap). The
-    /// byte budget splits evenly across shards, like the entry budget;
-    /// eviction honors whichever shard-level cap trips first.
-    pub fn with_capacities(enabled: bool, capacity: usize, capacity_bytes: usize) -> MatchCache {
-        let shards = if capacity == 0 {
-            SHARDS
-        } else {
-            SHARDS.min(capacity)
-        };
-        MatchCache::with_shards_and_bytes(enabled, capacity, capacity_bytes, shards)
-    }
-
-    /// Test-only constructor pinning the shard count so eviction order
-    /// is deterministic.
-    #[cfg(test)]
-    fn with_shards(enabled: bool, capacity: usize, shards: usize) -> MatchCache {
-        MatchCache::with_shards_and_bytes(enabled, capacity, 0, shards)
-    }
-
-    fn with_shards_and_bytes(
-        enabled: bool,
-        capacity: usize,
-        capacity_bytes: usize,
-        shards: usize,
-    ) -> MatchCache {
+    /// The match stage sized by `config`'s `match_*` fields.
+    pub(crate) fn from_config(config: &QueryConfig) -> MatchCache {
         MatchCache {
-            enabled,
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_cap: if capacity == 0 {
-                usize::MAX
-            } else {
-                capacity / shards
-            },
-            capacity,
-            shard_byte_cap: if capacity_bytes == 0 {
-                usize::MAX
-            } else {
-                capacity_bytes / shards
-            },
-            capacity_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
-        }
-    }
-
-    /// Locks the shard holding `key`. A poisoned shard — a thread
-    /// panicked mid-update, e.g. an injected model fault during
-    /// `fulfil` — is *cleared* and recovered: a memo table may always
-    /// drop entries (that only costs future hits), whereas serving a
-    /// half-updated entry could break parity. Only the affected shard is
-    /// touched — its siblings keep their entries — and the event is
-    /// counted in [`CacheMetrics::poison_recoveries`]. The clear resets
-    /// the shard's map, recency queue, and byte count together, so LRU
-    /// bookkeeping stays coherent after recovery.
-    fn shard_for(&self, key: &CacheKey) -> MutexGuard<'_, Shard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        let shard = &self.shards[(h.finish() as usize) % self.shards.len()];
-        match shard.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                guard.clear();
-                shard.clear_poison();
-                self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-                guard
-            }
+            enabled: config.match_enabled,
+            store: Store::new("match", config.match_capacity, config.match_capacity_bytes),
         }
     }
 
@@ -364,32 +140,14 @@ impl MatchCache {
             key: ddg::grouped_key(g, &groups, class),
             budget_ms: budget.time.as_millis() as u64,
         };
-        let cached = {
-            let mut shard = self.shard_for(&key);
-            let found = shard
-                .map
-                .get(&key)
-                .map(|slot| slot.entry.as_ref().map(rebuild_args));
-            if found.is_some() {
-                shard.touch(&key);
-            }
-            found
-        };
-        match cached {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Probe::Hit(entry.map(|args| rebuild(g, sub, &groups, args)))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Probe::Miss(PendingEntry { key })
-            }
+        match self.store.get(&key) {
+            Some(entry) => Probe::Hit((*entry).as_ref().map(|m| rebuild(g, sub, &groups, m))),
+            None => Probe::Miss(PendingEntry { key }),
         }
     }
 
-    /// Stores the outcome of a missed probe, evicting the shard's least
-    /// recently used entries if it runs over capacity. `sub` must be the
-    /// sub-DDG the probe ran on.
+    /// Stores the outcome of a missed probe. `sub` must be the sub-DDG
+    /// the probe ran on.
     pub fn fulfil(&self, pending: PendingEntry, sub: &SubDdg, outcome: &Option<Pattern>) {
         let entry = match outcome {
             None => Some(None),
@@ -398,78 +156,13 @@ impl MatchCache {
         // An unencodable pattern (a detail node outside the group view;
         // never produced by the current models) is simply not cached.
         if let Some(entry) = entry {
-            let (cap, byte_cap) = (self.shard_cap, self.shard_byte_cap);
-            let evicted = self
-                .shard_for(&pending.key)
-                .insert(pending.key, entry, cap, byte_cap);
-            if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
-                obs::counter("cache.evictions").add(evicted);
-            }
+            let bytes = approx_bytes(&pending.key, &entry);
+            self.store.put(pending.key, Arc::new(entry), bytes);
         }
     }
 
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Entry capacity (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Byte capacity (0 = unbounded).
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    pub fn poison_recoveries(&self) -> u64 {
-        self.poison_recoveries.load(Ordering::Relaxed)
-    }
-
-    pub fn entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .map
-                    .len()
-            })
-            .sum()
-    }
-
-    /// Approximate resident bytes across shards (keys + entries).
-    pub fn approx_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .bytes as u64
-            })
-            .sum()
-    }
-
-    pub fn metrics(&self) -> CacheMetrics {
-        CacheMetrics {
-            entries: self.entries(),
-            capacity: self.capacity,
-            capacity_bytes: self.capacity_bytes,
-            hits: self.hits(),
-            misses: self.misses(),
-            evictions: self.evictions(),
-            approx_bytes: self.approx_bytes(),
-            poison_recoveries: self.poison_recoveries(),
-        }
+    pub fn metrics(&self) -> StoreMetrics {
+        self.store.metrics()
     }
 }
 
@@ -488,41 +181,6 @@ fn approx_bytes(key: &CacheKey, entry: &Option<CachedMatch>) -> usize {
         }) => partials.iter().map(|c| 24 + 4 * c.len()).sum::<usize>() + 4 * final_chain.len(),
     };
     8 * key.key.len_words() + entry_bytes + 96
-}
-
-/// Owned arguments for [`rebuild`], cloned out of the table so the lock
-/// is not held while patterns are being reconstructed.
-enum RebuildArgs {
-    Map {
-        kind: PatternKind,
-        components: Vec<Vec<u32>>,
-    },
-    Linear {
-        chain: Vec<u32>,
-    },
-    Tiled {
-        partials: Vec<Vec<u32>>,
-        final_chain: Vec<u32>,
-    },
-}
-
-fn rebuild_args(m: &CachedMatch) -> RebuildArgs {
-    match m {
-        CachedMatch::Map { kind, components } => RebuildArgs::Map {
-            kind: *kind,
-            components: components.clone(),
-        },
-        CachedMatch::Linear { chain } => RebuildArgs::Linear {
-            chain: chain.clone(),
-        },
-        CachedMatch::Tiled {
-            partials,
-            final_chain,
-        } => RebuildArgs::Tiled {
-            partials: partials.clone(),
-            final_chain: final_chain.clone(),
-        },
-    }
 }
 
 /// Encodes a freshly matched pattern in group-index space. Every node a
@@ -582,10 +240,10 @@ fn encode(sub: &SubDdg, p: &Pattern) -> Option<CachedMatch> {
 /// Rebuilds a concrete pattern for `sub` from a group-index match. The
 /// probing view's key equals the stored view's key, so group count and
 /// per-group member counts agree and every index resolves.
-fn rebuild(g: &Ddg, sub: &SubDdg, groups: &[Vec<NodeId>], args: RebuildArgs) -> Pattern {
+fn rebuild(g: &Ddg, sub: &SubDdg, groups: &[Vec<NodeId>], m: &CachedMatch) -> Pattern {
     let rep = |gi: &u32| groups[*gi as usize][0];
-    match args {
-        RebuildArgs::Map { kind, components } => {
+    match m {
+        CachedMatch::Map { kind, components } => {
             let components: Vec<Vec<NodeId>> = components
                 .iter()
                 .map(|gis| {
@@ -595,17 +253,17 @@ fn rebuild(g: &Ddg, sub: &SubDdg, groups: &[Vec<NodeId>], args: RebuildArgs) -> 
                 })
                 .collect();
             let n = components.len();
-            Pattern::with_metadata(kind, sub.nodes.clone(), n, g)
+            Pattern::with_metadata(*kind, sub.nodes.clone(), n, g)
                 .with_detail(Detail::Map { components })
         }
-        RebuildArgs::Linear { chain } => {
+        CachedMatch::Linear { chain } => {
             let n = chain.len();
             Pattern::with_metadata(PatternKind::LinearReduction, sub.nodes.clone(), n, g)
                 .with_detail(Detail::Linear {
                     chain: chain.iter().map(rep).collect(),
                 })
         }
-        RebuildArgs::Tiled {
+        CachedMatch::Tiled {
             partials,
             final_chain,
         } => {
@@ -653,13 +311,18 @@ mod tests {
         (g, sub)
     }
 
+    /// A match cache sized like the default query DB's.
+    fn default_cache() -> MatchCache {
+        MatchCache::from_config(&QueryConfig::default())
+    }
+
     fn probe_of(cache: &MatchCache, g: &Ddg, sub: &SubDdg) -> Probe {
         cache.probe(g, sub, &MatchBudget::default())
     }
 
     #[test]
     fn hit_rebuilds_byte_identical_pattern() {
-        let cache = MatchCache::new(true);
+        let cache = default_cache();
         let (g1, sub1) = chain(4, 0, "fadd");
         let Probe::Miss(pending) = probe_of(&cache, &g1, &sub1) else {
             panic!("first probe must miss")
@@ -684,13 +347,13 @@ mod tests {
             rebuilt.nodes.iter().collect::<Vec<_>>(),
             direct.nodes.iter().collect::<Vec<_>>()
         );
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.metrics().hits, 1);
+        assert_eq!(cache.metrics().misses, 1);
     }
 
     #[test]
     fn negative_outcomes_are_cached_too() {
-        let cache = MatchCache::new(true);
+        let cache = default_cache();
         // A chain with no final output never matches.
         let mut b = DdgBuilder::new();
         let l = b.intern_label("fadd", true);
@@ -719,7 +382,7 @@ mod tests {
 
     #[test]
     fn different_labels_do_not_collide() {
-        let cache = MatchCache::new(true);
+        let cache = default_cache();
         let (g1, sub1) = chain(3, 0, "fadd");
         let Probe::Miss(p1) = probe_of(&cache, &g1, &sub1) else {
             panic!()
@@ -748,48 +411,20 @@ mod tests {
                 other_kind: PatternKind::Map,
             },
         };
-        let cache = MatchCache::new(true);
+        let cache = default_cache();
         assert!(matches!(probe_of(&cache, &g, &fused), Probe::Uncacheable));
     }
 
     #[test]
     fn disabled_cache_never_engages() {
-        let cache = MatchCache::new(false);
+        let cache = MatchCache::from_config(&QueryConfig {
+            match_enabled: false,
+            ..QueryConfig::default()
+        });
         let (g, sub) = chain(4, 0, "fadd");
         assert!(matches!(probe_of(&cache, &g, &sub), Probe::Uncacheable));
-        assert_eq!(cache.hits() + cache.misses(), 0);
-    }
-
-    #[test]
-    fn poisoned_shards_are_cleared_and_recovered() {
-        let cache = MatchCache::new(true);
-        let (g, sub) = chain(4, 0, "fadd");
-        let Probe::Miss(p) = probe_of(&cache, &g, &sub) else {
-            panic!()
-        };
-        cache.fulfil(p, &sub, &match_subddg(&g, &sub, &MatchBudget::default()));
-        assert_eq!(cache.entries(), 1);
-
-        // Panic while holding every shard lock: all shards poisoned.
-        for shard in &cache.shards {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = shard.lock().unwrap();
-                panic!("die holding the cache lock");
-            }));
-            assert!(caught.is_err());
-        }
-
-        // The next probe recovers its shard (cleared, so it misses) and
-        // the cache keeps working: fulfil + re-probe hits again.
-        let Probe::Miss(p) = probe_of(&cache, &g, &sub) else {
-            panic!("cleared shard must miss")
-        };
-        assert!(cache.poison_recoveries() >= 1);
-        cache.fulfil(p, &sub, &match_subddg(&g, &sub, &MatchBudget::default()));
-        assert!(matches!(probe_of(&cache, &g, &sub), Probe::Hit(Some(_))));
         let m = cache.metrics();
-        assert_eq!(m.poison_recoveries, cache.poison_recoveries());
-        assert!(m.hits >= 1);
+        assert_eq!(m.hits + m.misses, 0);
     }
 
     /// Runs the miss → match → fulfil cycle, asserting the probe missed.
@@ -801,39 +436,23 @@ mod tests {
     }
 
     #[test]
-    fn capacity_one_cache_evicts_deterministically() {
-        let cache = MatchCache::with_capacity(true, 1);
-        assert_eq!(cache.capacity(), 1);
-        let (g1, sub1) = chain(3, 0, "fadd");
-        let (g2, sub2) = chain(4, 0, "fadd"); // different length → different key
-        miss_and_fill(&cache, &g1, &sub1);
-        assert_eq!(cache.entries(), 1);
-        assert!(cache.approx_bytes() > 0);
-        assert!(matches!(probe_of(&cache, &g1, &sub1), Probe::Hit(Some(_))));
-
-        // Inserting the second shape evicts the first — the table never
-        // exceeds one entry.
-        miss_and_fill(&cache, &g2, &sub2);
-        assert_eq!(cache.entries(), 1);
-        assert_eq!(cache.evictions(), 1);
-        assert!(
-            matches!(probe_of(&cache, &g1, &sub1), Probe::Miss(_)),
-            "evicted shape must miss"
-        );
-        assert!(
-            matches!(probe_of(&cache, &g2, &sub2), Probe::Hit(Some(_))),
-            "resident shape must hit"
-        );
-    }
-
-    #[test]
     fn evicted_entries_recompute_byte_identical_results() {
-        let cache = MatchCache::with_capacity(true, 1);
+        let cache = MatchCache::from_config(&QueryConfig {
+            match_capacity: 1,
+            ..QueryConfig::default()
+        });
         let (g1, sub1) = chain(3, 0, "fadd");
         let (g2, sub2) = chain(4, 0, "fadd");
         let first = match_subddg(&g1, &sub1, &MatchBudget::default()).unwrap();
         miss_and_fill(&cache, &g1, &sub1);
+        let small = cache.metrics().approx_bytes;
         miss_and_fill(&cache, &g2, &sub2); // evicts sub1's entry
+        let m = cache.metrics();
+        assert_eq!((m.entries, m.evictions), (1, 1));
+        assert!(
+            m.approx_bytes > small,
+            "a 4-node chain's key and entry outweigh a 3-node chain's"
+        );
 
         // Recompute after eviction, refill, and re-probe: every round
         // trip reproduces the original pattern exactly.
@@ -854,150 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn hits_refresh_recency_so_the_cold_entry_evicts() {
-        // Single shard, three slots: A, B, C resident, A touched, D
-        // inserted → B (the least recently touched) evicts.
-        let cache = MatchCache::with_shards(true, 3, 1);
-        let shapes: Vec<_> = (2..6).map(|n| chain(n, 0, "fadd")).collect();
-        let (a, b, c, d) = (&shapes[0], &shapes[1], &shapes[2], &shapes[3]);
-        miss_and_fill(&cache, &a.0, &a.1);
-        miss_and_fill(&cache, &b.0, &b.1);
-        miss_and_fill(&cache, &c.0, &c.1);
-        assert!(matches!(probe_of(&cache, &a.0, &a.1), Probe::Hit(_)));
-        miss_and_fill(&cache, &d.0, &d.1);
-        assert_eq!(cache.entries(), 3);
-        assert_eq!(cache.evictions(), 1);
-        assert!(matches!(probe_of(&cache, &a.0, &a.1), Probe::Hit(_)));
-        assert!(
-            matches!(probe_of(&cache, &b.0, &b.1), Probe::Miss(_)),
-            "B was the least recently used entry"
-        );
-        assert!(matches!(probe_of(&cache, &c.0, &c.1), Probe::Hit(_)));
-        assert!(matches!(probe_of(&cache, &d.0, &d.1), Probe::Hit(_)));
-    }
-
-    #[test]
-    fn repeated_hits_do_not_grow_the_recency_queue_without_bound() {
-        let cache = MatchCache::with_shards(true, 2, 1);
-        let (g1, sub1) = chain(3, 0, "fadd");
-        let (g2, sub2) = chain(4, 0, "fadd");
-        miss_and_fill(&cache, &g1, &sub1);
-        for _ in 0..1000 {
-            assert!(matches!(probe_of(&cache, &g1, &sub1), Probe::Hit(_)));
-        }
-        // The lazy queue compacts on insert; after one more fill it must
-        // be proportional to the live entry count, not the touch count.
-        miss_and_fill(&cache, &g2, &sub2);
-        let queue_len = cache.shards[0].lock().unwrap().recency.len();
-        assert!(queue_len <= 4 * 2 + 16, "queue grew to {queue_len}");
-        assert_eq!(cache.entries(), 2);
-        assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
-    fn unbounded_capacity_never_evicts() {
-        let cache = MatchCache::with_capacity(true, 0);
-        assert_eq!(cache.capacity(), 0);
-        for n in 2..40 {
-            let (g, sub) = chain(n, 0, "fadd");
-            miss_and_fill(&cache, &g, &sub);
-        }
-        assert_eq!(cache.entries(), 38);
-        assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
-    fn bytes_accounting_tracks_insert_and_evict() {
-        let cache = MatchCache::with_shards(true, 1, 1);
-        let (g1, sub1) = chain(3, 0, "fadd");
-        let (g2, sub2) = chain(9, 0, "fadd");
-        miss_and_fill(&cache, &g1, &sub1);
-        let small = cache.approx_bytes();
-        assert!(small > 0);
-        miss_and_fill(&cache, &g2, &sub2); // evicts the small entry
-        let big = cache.approx_bytes();
-        assert!(big > small, "a 9-node chain outweighs a 3-node chain");
-        let m = cache.metrics();
-        assert_eq!(m.entries, 1);
-        assert_eq!(m.evictions, 1);
-        assert_eq!(m.approx_bytes, big);
-        assert_eq!(m.capacity, 1);
-    }
-
-    /// Approximate footprint of one cached `chain(n, ..)` entry,
-    /// measured through an unbounded single-shard cache.
-    fn unit_bytes(n: usize) -> usize {
-        let cache = MatchCache::with_shards(true, 0, 1);
-        let (g, sub) = chain(n, 0, "fadd");
-        miss_and_fill(&cache, &g, &sub);
-        cache.approx_bytes() as usize
-    }
-
-    #[test]
-    fn byte_cap_alone_bounds_the_footprint() {
-        // Entry cap unbounded; byte budget fits two same-shape entries.
-        // (Same chain length, same label length → same key size.)
-        let unit = unit_bytes(3);
-        let cache = MatchCache::with_shards_and_bytes(true, 0, 2 * unit, 1);
-        assert_eq!(cache.capacity(), 0);
-        assert_eq!(cache.capacity_bytes(), 2 * unit);
-        for label in ["fadd", "fmul", "fsub"] {
-            let (g, sub) = chain(3, 0, label);
-            miss_and_fill(&cache, &g, &sub);
-        }
-        assert_eq!(cache.entries(), 2, "third insert must evict by bytes");
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.approx_bytes() as usize <= 2 * unit);
-        // LRU order: the first-inserted shape is the one gone.
-        let (g, sub) = chain(3, 0, "fadd");
-        assert!(matches!(probe_of(&cache, &g, &sub), Probe::Miss(_)));
-        let (g, sub) = chain(3, 0, "fsub");
-        assert!(matches!(probe_of(&cache, &g, &sub), Probe::Hit(_)));
-        let m = cache.metrics();
-        assert_eq!(m.capacity_bytes, 2 * unit);
-        assert_eq!(m.entries, 2);
-    }
-
-    #[test]
-    fn whichever_cap_trips_first_wins() {
-        // Byte budget generous, entry cap of 1: entries evict first.
-        let unit = unit_bytes(3);
-        let by_entries = MatchCache::with_shards_and_bytes(true, 1, 100 * unit, 1);
-        let (g1, sub1) = chain(3, 0, "fadd");
-        let (g2, sub2) = chain(3, 0, "fmul");
-        miss_and_fill(&by_entries, &g1, &sub1);
-        miss_and_fill(&by_entries, &g2, &sub2);
-        assert_eq!(by_entries.entries(), 1);
-        assert_eq!(by_entries.evictions(), 1);
-
-        // Entry cap generous, byte budget of one entry: bytes evict
-        // first, holding entries below the entry cap.
-        let by_bytes = MatchCache::with_shards_and_bytes(true, 100, unit, 1);
-        miss_and_fill(&by_bytes, &g1, &sub1);
-        miss_and_fill(&by_bytes, &g2, &sub2);
-        assert_eq!(by_bytes.entries(), 1);
-        assert_eq!(by_bytes.evictions(), 1);
-        assert!(by_bytes.approx_bytes() as usize <= unit);
-    }
-
-    #[test]
-    fn entry_larger_than_the_byte_budget_is_not_retained() {
-        // A budget smaller than any single entry: the table caches
-        // nothing, but every probe/fulfil cycle still works (the match
-        // is simply recomputed each time).
-        let cache = MatchCache::with_shards_and_bytes(true, 0, 8, 1);
-        let (g, sub) = chain(4, 0, "fadd");
-        miss_and_fill(&cache, &g, &sub);
-        assert_eq!(cache.entries(), 0);
-        assert_eq!(cache.approx_bytes(), 0);
-        let Probe::Miss(p) = probe_of(&cache, &g, &sub) else {
-            panic!("oversized entry must not be resident")
-        };
-        cache.fulfil(p, &sub, &match_subddg(&g, &sub, &MatchBudget::default()));
-        assert_eq!(cache.entries(), 0);
-    }
-
-    #[test]
     fn loop_and_assoc_views_of_one_shape_do_not_collide() {
         let (g, sub) = chain(4, 0, "fadd");
         let as_loop = SubDdg::grouped(
@@ -1005,7 +480,7 @@ mod tests {
             (0..4).map(|i| vec![NodeId(i)]).collect(),
             SubKind::Loop { loop_id: 0 },
         );
-        let cache = MatchCache::new(true);
+        let cache = default_cache();
         let Probe::Miss(p1) = probe_of(&cache, &g, &sub) else {
             panic!()
         };

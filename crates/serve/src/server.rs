@@ -121,7 +121,7 @@ impl Default for ServeConfig {
             admission_capacity: 64,
             conn_window: 8,
             quota: QuotaConfig::default(),
-            cache_capacity: repro_engine::cache::DEFAULT_CACHE_CAPACITY,
+            cache_capacity: repro_query::DEFAULT_CACHE_CAPACITY,
             cache_capacity_bytes: 0,
             default_budget_ms: 60_000,
             default_deadline_ms: Some(10_000),
@@ -514,10 +514,9 @@ impl Server {
 
         // The daemon always runs the full query DB: a resident process
         // is exactly the workload the trace/sub-DDG/find stages pay off
-        // for (repeated and lightly-edited requests). Its match stage
-        // keeps the configured caps.
+        // for (repeated and lightly-edited requests). This is the one
+        // place the configured match-cache caps take effect.
         let db = Arc::new(QueryDb::full(QueryConfig {
-            match_enabled: true,
             match_capacity: config.cache_capacity,
             match_capacity_bytes: config.cache_capacity_bytes,
             ..QueryConfig::default()
@@ -545,9 +544,6 @@ impl Server {
                     config.analysis_threads
                 },
                 max_concurrent_requests: 1,
-                use_cache: true,
-                cache_capacity: config.cache_capacity,
-                cache_capacity_bytes: config.cache_capacity_bytes,
                 ..EngineConfig::default()
             },
             Arc::clone(&db),

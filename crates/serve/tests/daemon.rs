@@ -137,6 +137,24 @@ fn analyze_stats_and_shutdown_round_trip() {
         trace.get("hits").and_then(Json::as_f64).unwrap() >= 2.0,
         "repeat requests must be trace-stage hits: {query:?}"
     );
+    // The match stage reports the same counter set as every other stage.
+    let Some(Json::Obj(match_cache)) = query.get("match_cache") else {
+        panic!("match_cache stage object: {query:?}")
+    };
+    let keys: Vec<&str> = match_cache.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "entries",
+            "capacity",
+            "capacity_bytes",
+            "hits",
+            "misses",
+            "evictions",
+            "approx_bytes",
+            "poison_recoveries"
+        ]
+    );
 
     let doc = client.request(r#"{"op":"shutdown"}"#);
     assert_eq!(status_of(&doc), "ok");
