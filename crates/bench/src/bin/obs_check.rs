@@ -4,6 +4,11 @@
 //! ```sh
 //! obs_check <trace.json> <metrics.json> [required-section ...] [--counter <name> ...]
 //! obs_check --fig7 <BENCH_fig7.json> [--max-slope 1.05]
+//! obs_check --incr <BENCH_incr.json> [--min-speedup 5] [--min-hit-rate 0.8]
+//! obs_check --serve <BENCH_serve.json> [--max-p99-ms <ms>]
+//! obs_check --chaos <BENCH_chaos.json> [--max-p99-ms <ms>] [--min-requests <n>]
+//! obs_check --slo <report.json> [--max-burn 1.0]
+//! obs_check --prom <scrape.txt> [required-name ...]
 //! ```
 //!
 //! The trace must parse, contain events, and have balanced begin/end
@@ -22,6 +27,15 @@
 //! simplify, or trace phase's slope may exceed `--max-slope` (default
 //! 1.05 — superlinear extraction, matching, simplification, or tracing
 //! regressions fail CI here).
+//!
+//! `--incr` gates the `repro-incr` report's query-layer reuse: warm
+//! edit replays against cold, the trace-stage hit rate, find-stage
+//! replays and byte parity. `--serve` gates a `repro-loadgen` report:
+//! every request answered with a labeled status, zero lost workers,
+//! zero protocol errors and a bounded p99. `--chaos` gates a
+//! `repro-chaos` report: every fault class fired, no request was lost,
+//! every killed worker was respawned, the breaker opened, and every
+//! request is accounted as answered or breaker-skipped.
 //!
 //! `--slo <report> [--max-burn <b>]` gates the SLO burn rates a load or
 //! chaos run recorded into its report's meta (`slo_short_burn`,
@@ -65,9 +79,6 @@ fn main() {
         _ => {
             eprintln!("usage: obs_check <trace.json> <metrics.json> [required-section ...]");
             eprintln!("       obs_check --fig7 <BENCH_fig7.json> [--max-slope <s>]");
-            eprintln!(
-                "       obs_check --trace <BENCH_fig7.json> [--max-slope <s>] [--min-speedup <x>]"
-            );
             eprintln!(
                 "       obs_check --incr <BENCH_incr.json> [--min-speedup <x>] [--min-hit-rate <r>]"
             );

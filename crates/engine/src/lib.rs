@@ -22,11 +22,11 @@
 //!   cache/pool counters for the evaluation harness (Fig. 7, Table 3).
 //!
 //! The match cache is the top layer of the content-addressed
-//! [`repro_query::QueryDb`] (DESIGN.md §18). [`Engine::new`] builds a
-//! default-sized *match-only* DB, while [`Engine::with_query`] accepts a
-//! caller-sized DB — a *full* one's trace, sub-DDG, and find stages let
-//! repeated or lightly-edited requests skip whole phases of the
-//! pipeline.
+//! [`repro_query::QueryDb`] (DESIGN.md §18), whose trace, exec,
+//! sub-DDG, and find stages let repeated or lightly-edited requests
+//! skip whole phases of the pipeline. [`Engine::new`] builds a
+//! default-sized DB, while [`Engine::with_query`] accepts a caller-sized
+//! (or shared) one; both run the same pipeline.
 
 #[cfg(feature = "fault-inject")]
 pub mod fault;
@@ -135,7 +135,7 @@ pub struct RequestMetrics {
     pub match_jobs: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    /// Jobs that bypassed the cache (fused sub-DDGs, or cache disabled).
+    /// Jobs that bypassed the cache (fused sub-DDGs).
     pub cache_bypassed: u64,
     /// Match jobs that panicked and were degraded to no-match.
     pub match_faults: u64,
@@ -284,8 +284,7 @@ impl EngineConfig {
 }
 
 /// The batch analysis engine. One engine owns one worker pool and one
-/// query DB (at minimum its match stage); batches submitted to it
-/// share both.
+/// query DB; batches submitted to it share both.
 pub struct Engine {
     config: EngineConfig,
     pool: Arc<WorkPool>,
@@ -299,19 +298,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// A match-only engine over a default-sized match cache. The
-    /// pipeline stages stay off so batch metrics (cache hits on
-    /// repeated programs, per-request trace times) are undisturbed.
+    /// An engine over its own default-sized query DB
+    /// ([`QueryConfig::default`]).
     pub fn new(config: EngineConfig) -> Engine {
-        let db = Arc::new(QueryDb::match_only(QueryConfig::default()));
-        Engine::with_query(config, db)
+        Engine::with_query(config, Arc::new(QueryDb::full(QueryConfig::default())))
     }
 
     /// An engine sharing a caller-owned query DB, which also sizes the
-    /// match cache. With a *full* DB (`QueryDb::full`), repeated inputs
-    /// replay their trace and find phases instead of recomputing them;
-    /// the daemon and the incremental bench construct their engines
-    /// this way.
+    /// stores. The daemon and the incremental bench construct their
+    /// engines this way, to size the DB, persist it, or read its stats.
     pub fn with_query(config: EngineConfig, db: Arc<QueryDb>) -> Engine {
         Engine {
             pool: Arc::new(WorkPool::new(config.effective_workers())),
@@ -529,25 +524,16 @@ enum JobReply {
     Fault,
 }
 
-/// The query-layer keys one request resolves to, computed up front
-/// when the DB is full (`None` in match-only engines). Holding them in
-/// one place keeps the hit/miss/put sites in [`run_request`] honest
-/// about using the *same* keys.
-struct QueryKeys {
-    trace_key: repro_ir::ContentHash,
-    config_fp: repro_ir::ContentHash,
-}
-
 /// Traces and analyzes one request, fanning match jobs out to `pool`.
 /// The request's deadline (when configured) is anchored *here*, before
 /// tracing, so it covers the whole request: trace, finder iterations,
 /// and every match search.
 ///
-/// With a full query DB the request walks the memo chain top-down:
-/// a `trace` hit whose DDG fingerprint also has a `find` hit replays
-/// the entire analysis; a fresh trace whose DDG hashes to a known
-/// finder result skips matching; otherwise sub-DDG extraction and the
-/// match stage each memoize what they can.
+/// The request walks the query DB's memo chain top-down: a `trace` hit
+/// whose DDG fingerprint also has a `find` hit replays the entire
+/// analysis; a fresh trace whose DDG hashes to a known finder result
+/// skips matching; otherwise sub-DDG extraction and the match stage
+/// each memoize what they can.
 fn run_request(
     pool: &Arc<WorkPool>,
     db: &Arc<QueryDb>,
@@ -570,29 +556,25 @@ fn run_request(
 
     // Content-address the request. Only complete, deadline-free-at-cache
     // artifacts are ever stored, so a hit is always safe to replay.
-    let keys = db.is_full().then(|| QueryKeys {
-        trace_key: trace_key(
-            repro_ir::fingerprint_program(&req.program),
-            fingerprint_input(&req.input),
-        ),
-        config_fp: fingerprint_finder_config(&req.config),
-    });
-    if let Some(keys) = &keys {
-        if let Some(traced) = db.trace_get(keys.trace_key) {
-            if let Some(found) = db.find_get(find_key(traced.ddg_fp, keys.config_fp)) {
-                metrics.query_analyze_hit = true;
-                metrics.query_find_hit = true;
-                req_span.arg("result", obs::ArgValue::Static("query-hit"));
-                return AnalysisResult {
-                    id: req.id,
-                    index,
-                    outcome: Ok(Analysis {
-                        result: found.to_result(),
-                        run: traced.to_run_result(),
-                    }),
-                    metrics,
-                };
-            }
+    let tkey = trace_key(
+        repro_ir::fingerprint_program(&req.program),
+        fingerprint_input(&req.input),
+    );
+    let config_fp = fingerprint_finder_config(&req.config);
+    if let Some(traced) = db.trace_get(tkey) {
+        if let Some(found) = db.find_get(find_key(traced.ddg_fp, config_fp)) {
+            metrics.query_analyze_hit = true;
+            metrics.query_find_hit = true;
+            req_span.arg("result", obs::ArgValue::Static("query-hit"));
+            return AnalysisResult {
+                id: req.id,
+                index,
+                outcome: Ok(Analysis {
+                    result: found.to_result(),
+                    run: traced.to_run_result(),
+                }),
+                metrics,
+            };
         }
     }
 
@@ -617,51 +599,44 @@ fn run_request(
     // probe is skipped while the exec index is empty (a cold DB never
     // pays for it) and under injected trace faults (the fault must
     // surface through the real run).
-    if let Some(keys) = &keys {
-        #[cfg(feature = "fault-inject")]
-        let probe_safe = input.fault.is_none();
-        #[cfg(not(feature = "fault-inject"))]
-        let probe_safe = true;
-        if db.exec_len() > 0 && probe_safe {
-            let mut probe_input = input.clone();
-            probe_input.trace = trace::TraceMode::Off;
-            probe_input.exec_fingerprint = true;
-            if let Ok(probe_run) = trace::run(&req.program, &probe_input) {
-                if let Some(entry) = probe_run
-                    .exec_fp
-                    .and_then(|fp| db.exec_get(repro_ir::ContentHash(fp)))
-                {
-                    let fkey = find_key(entry.ddg_fp, keys.config_fp);
-                    if let Some(found) = db.find_get(fkey) {
-                        db.trace_put(
-                            keys.trace_key,
-                            TraceArtifact::from_run(
-                                &probe_run,
-                                entry.ddg_fp,
-                                entry.ddg_nodes as usize,
-                            ),
-                        );
-                        metrics.query_find_hit = true;
-                        metrics.query_exec_hit = true;
-                        metrics.trace_time = t0.elapsed();
-                        req_span.arg("result", obs::ArgValue::Static("query-exec-hit"));
-                        return AnalysisResult {
-                            id: req.id,
-                            index,
-                            outcome: Ok(Analysis {
-                                result: found.to_result(),
-                                run: probe_run,
-                            }),
-                            metrics,
-                        };
-                    }
+    #[cfg(feature = "fault-inject")]
+    let probe_safe = input.fault.is_none();
+    #[cfg(not(feature = "fault-inject"))]
+    let probe_safe = true;
+    if db.exec_len() > 0 && probe_safe {
+        let mut probe_input = input.clone();
+        probe_input.trace = trace::TraceMode::Off;
+        probe_input.exec_fingerprint = true;
+        if let Ok(probe_run) = trace::run(&req.program, &probe_input) {
+            if let Some(entry) = probe_run
+                .exec_fp
+                .and_then(|fp| db.exec_get(repro_ir::ContentHash(fp)))
+            {
+                if let Some(found) = db.find_get(find_key(entry.ddg_fp, config_fp)) {
+                    db.trace_put(
+                        tkey,
+                        TraceArtifact::from_run(&probe_run, entry.ddg_fp, entry.ddg_nodes as usize),
+                    );
+                    metrics.query_find_hit = true;
+                    metrics.query_exec_hit = true;
+                    metrics.trace_time = t0.elapsed();
+                    req_span.arg("result", obs::ArgValue::Static("query-exec-hit"));
+                    return AnalysisResult {
+                        id: req.id,
+                        index,
+                        outcome: Ok(Analysis {
+                            result: found.to_result(),
+                            run: probe_run,
+                        }),
+                        metrics,
+                    };
                 }
             }
         }
-        // Record the fingerprint on full runs so future edits can probe
-        // against it.
-        input.exec_fingerprint = true;
     }
+    // Record the fingerprint on full runs so future edits can probe
+    // against it.
+    input.exec_fingerprint = true;
 
     let run = trace::run(&req.program, &input);
     metrics.trace_time = t0.elapsed();
@@ -685,37 +660,30 @@ fn run_request(
     // often re-traces to a byte-identical DDG (e.g. a constant change —
     // DDG nodes carry no runtime values), and then the whole find phase
     // replays from its fingerprint.
-    let mut find_stage = None;
-    if let Some(keys) = &keys {
-        let ddg_fp = repro_query::fingerprint_ddg(&ddg);
-        db.trace_put(
-            keys.trace_key,
-            TraceArtifact::from_run(&run, ddg_fp, ddg.len()),
+    let ddg_fp = repro_query::fingerprint_ddg(&ddg);
+    db.trace_put(tkey, TraceArtifact::from_run(&run, ddg_fp, ddg.len()));
+    if let Some(exec_fp) = run.exec_fp {
+        db.exec_put(
+            repro_ir::ContentHash(exec_fp),
+            ExecEntry {
+                ddg_fp,
+                ddg_nodes: ddg.len() as u64,
+            },
         );
-        if let Some(exec_fp) = run.exec_fp {
-            db.exec_put(
-                repro_ir::ContentHash(exec_fp),
-                ExecEntry {
-                    ddg_fp,
-                    ddg_nodes: ddg.len() as u64,
-                },
-            );
-        }
-        let fkey = find_key(ddg_fp, keys.config_fp);
-        if let Some(found) = db.find_get(fkey) {
-            metrics.query_find_hit = true;
-            req_span.arg("result", obs::ArgValue::Static("query-find-hit"));
-            return AnalysisResult {
-                id: req.id,
-                index,
-                outcome: Ok(Analysis {
-                    result: found.to_result(),
-                    run,
-                }),
-                metrics,
-            };
-        }
-        find_stage = Some((ddg_fp, fkey));
+    }
+    let fkey = find_key(ddg_fp, config_fp);
+    if let Some(found) = db.find_get(fkey) {
+        metrics.query_find_hit = true;
+        req_span.arg("result", obs::ArgValue::Static("query-find-hit"));
+        return AnalysisResult {
+            id: req.id,
+            index,
+            outcome: Ok(Analysis {
+                result: found.to_result(),
+                run,
+            }),
+            metrics,
+        };
     }
 
     let t0 = Instant::now();
@@ -732,18 +700,14 @@ fn run_request(
     // Sub-DDG stage: extraction is pure in (simplified graph, task
     // index), and the simplified graph is pure in (DDG, simplify flag),
     // so each task's pool slice is keyed off the DDG fingerprint.
-    let skeys: Vec<Option<repro_ir::ContentHash>> = (0..n_tasks)
-        .map(|i| find_stage.map(|(ddg_fp, _)| subddg_key(ddg_fp, req.config.enable_simplify, i)))
-        .collect();
+    let skey = |i| subddg_key(ddg_fp, req.config.enable_simplify, i);
     {
         let (tx, rx) = mpsc::channel::<(usize, Vec<SubDdg>)>();
         let mut submitted = 0usize;
         for (i, task) in tasks.into_iter().enumerate() {
-            if let Some(skey) = skeys[i] {
-                if let Some(cached) = db.subddg_get(skey) {
-                    extracted[i] = Some((*cached).clone());
-                    continue;
-                }
+            if let Some(cached) = db.subddg_get(skey(i)) {
+                extracted[i] = Some((*cached).clone());
+                continue;
             }
             submitted += 1;
             let g = fe.graph_arc();
@@ -758,9 +722,7 @@ fn run_request(
         for got in 0..submitted {
             match rx.recv() {
                 Ok((i, subs)) => {
-                    if let Some(skey) = skeys[i] {
-                        db.subddg_put(skey, Arc::new(subs.clone()));
-                    }
+                    db.subddg_put(skey(i), Arc::new(subs.clone()));
                     extracted[i] = Some(subs);
                 }
                 Err(_) => {
@@ -901,10 +863,8 @@ fn run_request(
     let result = state.finish();
     // Only a complete fixpoint is worth remembering: a degraded or
     // deadline-cut result replayed later would silently under-report.
-    if let Some((_, fkey)) = find_stage {
-        if !result.degraded && !result.cancelled {
-            db.find_put(fkey, FindArtifact::from_result(&result));
-        }
+    if !result.degraded && !result.cancelled {
+        db.find_put(fkey, FindArtifact::from_result(&result));
     }
     metrics.find_time = t0.elapsed();
     metrics.matches_exhausted = result.matches_exhausted as u64;
@@ -927,13 +887,17 @@ mod tests {
     use super::*;
     use discovery::PatternKind;
 
-    fn map_request(id: &str, elems: usize) -> AnalysisRequest {
-        let src = format!(
+    fn map_source(elems: usize) -> String {
+        format!(
             "float in[{elems}];\nfloat out[{elems}];\nvoid main() {{\n  int i;\n  \
              for (i = 0; i < {elems}; i++) {{\n    out[i] = in[i] * 2.0 + 1.0;\n  }}\n  \
              output(out);\n}}\n"
-        );
-        let program = minc::compile(id, &src).unwrap();
+        )
+    }
+
+    /// A request for `src`, whose `in` array holds `0..elems`.
+    fn request(id: &str, src: &str, elems: usize) -> AnalysisRequest {
+        let program = minc::compile(id, src).unwrap();
         let input = trace::RunConfig::default()
             .with_f64("in", &(0..elems).map(|i| i as f64).collect::<Vec<_>>());
         AnalysisRequest {
@@ -942,6 +906,34 @@ mod tests {
             input,
             config: FinderConfig::default(),
         }
+    }
+
+    fn map_request(id: &str, elems: usize) -> AnalysisRequest {
+        request(id, &map_source(elems), elems)
+    }
+
+    /// `map_request`'s loop plus an independent second map over `tail`
+    /// elements. Requests with equal `elems` share the first loop's
+    /// sub-DDG shape, while distinct `tail`s keep every DDG distinct,
+    /// so a repeated shape reaches the match cache instead of being
+    /// replayed whole from the find stage.
+    fn two_map_request(id: &str, elems: usize, tail: usize) -> AnalysisRequest {
+        let src = format!(
+            "float in[{elems}];\nfloat out[{elems}];\nfloat b_in[{tail}];\nfloat b_out[{tail}];\n\
+             void main() {{\n  int i;\n  int j;\n  \
+             for (i = 0; i < {elems}; i++) {{\n    out[i] = in[i] * 2.0 + 1.0;\n  }}\n  \
+             for (j = 0; j < {tail}; j++) {{\n    b_out[j] = b_in[j] * 3.0;\n  }}\n  \
+             output(out);\n  output(b_out);\n}}\n"
+        );
+        request(id, &src, elems)
+    }
+
+    /// The sequential finder's result for `req` (same trace, same config).
+    fn sequential(req: &AnalysisRequest) -> FinderResult {
+        let mut input = req.input.clone();
+        input.trace = trace::TraceMode::Full;
+        let run = trace::run(&req.program, &input).unwrap();
+        discovery::find_patterns(&run.ddg.unwrap(), &req.config)
     }
 
     fn small_engine() -> Engine {
@@ -978,10 +970,10 @@ mod tests {
         });
         // Four requests over two structural shapes: the repeats must hit.
         let reqs = vec![
-            map_request("a", 4),
-            map_request("b", 4),
-            map_request("c", 6),
-            map_request("d", 6),
+            two_map_request("a", 4, 2),
+            two_map_request("b", 4, 3),
+            two_map_request("c", 6, 4),
+            two_map_request("d", 6, 5),
         ];
         let results = engine.analyze_all(reqs);
         assert_eq!(
@@ -1001,25 +993,13 @@ mod tests {
             max_concurrent_requests: 1,
             ..EngineConfig::default()
         });
-        let uncached = Engine::with_query(
-            EngineConfig {
-                workers: 4,
-                ..EngineConfig::default()
-            },
-            Arc::new(QueryDb::match_only(QueryConfig {
-                match_enabled: false,
-                ..QueryConfig::default()
-            })),
-        );
-        let a = cached.analyze_all(vec![map_request("x", 5), map_request("y", 5)]);
-        let b = uncached.analyze_all(vec![map_request("x", 5), map_request("y", 5)]);
+        let reqs = || vec![two_map_request("x", 5, 2), two_map_request("y", 5, 3)];
+        let a = cached.analyze_all(reqs());
+        // The sequential finder, which has no cache, is the referee.
+        let b: Vec<FinderResult> = reqs().iter().map(sequential).collect();
         assert!(cached.metrics().cache_hits > 0);
-        assert_eq!(uncached.metrics().cache_hits, 0);
-        for (ra, rb) in a.iter().zip(&b) {
-            let (pa, pb) = (
-                &ra.outcome.as_ref().unwrap().result,
-                &rb.outcome.as_ref().unwrap().result,
-            );
+        for (ra, pb) in a.iter().zip(&b) {
+            let pa = &ra.outcome.as_ref().unwrap().result;
             assert_eq!(pa.found.len(), pb.found.len());
             for (fa, fb) in pa.found.iter().zip(&pb.found) {
                 assert_eq!(fa.pattern.kind, fb.pattern.kind);
@@ -1027,6 +1007,50 @@ mod tests {
                 assert_eq!(fa.iteration, fb.iteration);
             }
         }
+    }
+
+    #[test]
+    fn new_engines_answer_repeats_and_constant_edits_from_the_query_db() {
+        // `Engine::new` builds what fig7, table3 and the daemon run: the
+        // full query DB.
+        let engine = small_engine();
+        let first = engine.analyze_one(map_request("m", 4));
+        let cold = &first.outcome.as_ref().expect("cold analysis").result;
+        assert!(first.metrics.cache_misses > 0, "{:?}", first.metrics);
+
+        // An identical repeat is answered from the store: no trace, no
+        // matching.
+        let repeat = engine.analyze_one(map_request("m", 4));
+        assert!(repeat.metrics.query_analyze_hit, "{:?}", repeat.metrics);
+        assert_eq!(engine.query_db().stats().find.hits, 1);
+        assert_eq!(
+            repro_query::pattern_signature(&repeat.outcome.as_ref().unwrap().result),
+            repro_query::pattern_signature(cold)
+        );
+
+        // A same-length constant edit re-keys the program but not its
+        // execution stream: the exec probe resolves it to the cached DDG
+        // and the find phase replays without a single match query.
+        let before = engine.metrics();
+        let src = map_source(4).replace("+ 1.0", "+ 5.0");
+        let edited = engine.analyze_one(request("m", &src, 4));
+        assert!(edited.metrics.query_exec_hit, "{:?}", edited.metrics);
+        assert_eq!(
+            (edited.metrics.cache_hits, edited.metrics.cache_misses),
+            (0, 0)
+        );
+        let after = engine.metrics();
+        assert_eq!(
+            (after.cache_hits, after.cache_misses),
+            (before.cache_hits, before.cache_misses)
+        );
+        // The replayed run still carries the edited program's outputs.
+        let analysis = edited.outcome.as_ref().unwrap();
+        assert_eq!(analysis.run.f64s("out"), vec![5.0, 7.0, 9.0, 11.0]);
+        assert_eq!(
+            repro_query::pattern_signature(&analysis.result),
+            repro_query::pattern_signature(cold)
+        );
     }
 
     #[test]

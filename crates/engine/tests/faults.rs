@@ -109,8 +109,11 @@ fn faulted_batch_streams_every_result_and_keeps_clean_requests_identical() {
     let seq_a = sequential(&clean_a);
     let seq_b = sequential(&clean_b);
 
+    // Every request has its own shape: a clean request sharing the
+    // panicked one's DDG could finish first and answer it from the find
+    // stage before its planned panic fires.
     let results = engine.analyze_all(vec![
-        map_request("panicked", 4),
+        map_request("panicked", 3),
         deadlined,
         nonterminating_request("spins"),
         clean_a,

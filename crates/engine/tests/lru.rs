@@ -1,20 +1,26 @@
 //! Engine-level LRU cache behavior: a thrashing capacity-1 cache must
-//! change throughput characteristics only — never results. An uncached
-//! engine is the referee: the same batch run cache-less, with an ample
-//! cache, and with a capacity-1 cache yields byte-identical patterns,
-//! and the per-request counters reconcile with the engine totals.
+//! change throughput characteristics only — never results. The
+//! sequential finder, which has no cache, is the referee: the same
+//! batch run with an ample cache and with a capacity-1 cache yields
+//! byte-identical patterns, and the per-request counters reconcile with
+//! the engine totals.
 
 use repro_engine::{AnalysisRequest, Engine, EngineConfig};
 use repro_query::{QueryConfig, QueryDb};
 use std::sync::Arc;
 
-/// A map-shaped request over `elems` elements; distinct `elems` values
-/// produce structurally distinct sub-DDGs (different cache keys).
-fn map_request(id: &str, elems: usize) -> AnalysisRequest {
+/// A map over `elems` elements followed by an independent map over
+/// `tail` elements. Distinct `elems` values produce structurally
+/// distinct first-loop sub-DDGs (different cache keys); a distinct
+/// `tail` per request keeps every DDG distinct, so no request is
+/// replayed whole from the query DB's find stage.
+fn map_request(id: &str, elems: usize, tail: usize) -> AnalysisRequest {
     let src = format!(
-        "float in[{elems}];\nfloat out[{elems}];\nvoid main() {{\n  int i;\n  \
+        "float in[{elems}];\nfloat out[{elems}];\nfloat b_in[{tail}];\nfloat b_out[{tail}];\n\
+         void main() {{\n  int i;\n  int j;\n  \
          for (i = 0; i < {elems}; i++) {{\n    out[i] = in[i] * 2.0 + 1.0;\n  }}\n  \
-         output(out);\n}}\n"
+         for (j = 0; j < {tail}; j++) {{\n    b_out[j] = b_in[j] * 3.0;\n  }}\n  \
+         output(out);\n  output(b_out);\n}}\n"
     );
     let program = minc::compile(id, &src).unwrap();
     let input = trace::RunConfig::default()
@@ -31,19 +37,18 @@ fn map_request(id: &str, elems: usize) -> AnalysisRequest {
 /// the other, so a capacity-1 cache evicts on every fill.
 fn alternating_batch() -> Vec<AnalysisRequest> {
     (0..6)
-        .map(|i| map_request(&format!("r{i}"), if i % 2 == 0 { 4 } else { 6 }))
+        .map(|i| map_request(&format!("r{i}"), if i % 2 == 0 { 4 } else { 6 }, 2 + i))
         .collect()
 }
 
-fn engine_with(cache_capacity: usize, use_cache: bool) -> Engine {
+fn engine_with(cache_capacity: usize) -> Engine {
     Engine::with_query(
         EngineConfig {
             workers: 2,
             max_concurrent_requests: 1, // deterministic probe order
             ..EngineConfig::default()
         },
-        Arc::new(QueryDb::match_only(QueryConfig {
-            match_enabled: use_cache,
+        Arc::new(QueryDb::full(QueryConfig {
             match_capacity: cache_capacity,
             ..QueryConfig::default()
         })),
@@ -52,38 +57,53 @@ fn engine_with(cache_capacity: usize, use_cache: bool) -> Engine {
 
 /// The comparable bytes of a finder result (pattern structure and
 /// source metadata; timings excluded).
+fn signature(id: &str, result: &discovery::FinderResult) -> String {
+    result
+        .found
+        .iter()
+        .map(|f| {
+            format!(
+                "{}:{:?}:{:?}:{:?}:{}:{}",
+                id, f.pattern.kind, f.pattern.detail, f.pattern.lines, f.iteration, f.reported
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("|")
+}
+
 fn fingerprint(results: &[repro_engine::AnalysisResult]) -> Vec<String> {
     results
         .iter()
         .map(|r| {
             let a = r.outcome.as_ref().expect("analysis succeeds");
-            a.result
-                .found
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{}:{:?}:{:?}:{:?}:{}:{}",
-                        r.id,
-                        f.pattern.kind,
-                        f.pattern.detail,
-                        f.pattern.lines,
-                        f.iteration,
-                        f.reported
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join("|")
+            signature(&r.id, &a.result)
+        })
+        .collect()
+}
+
+/// The sequential finder's results for `batch` (same traces, same
+/// configs).
+fn sequential(batch: &[AnalysisRequest]) -> Vec<String> {
+    batch
+        .iter()
+        .map(|req| {
+            let mut input = req.input.clone();
+            input.trace = trace::TraceMode::Full;
+            let run = trace::run(&req.program, &input).expect("trace succeeds");
+            signature(
+                &req.id,
+                &discovery::find_patterns(&run.ddg.unwrap(), &req.config),
+            )
         })
         .collect()
 }
 
 #[test]
 fn thrashing_cache_is_a_pure_performance_knob() {
-    let uncached = engine_with(0, false);
-    let ample = engine_with(4096, true);
-    let tiny = engine_with(1, true);
+    let ample = engine_with(4096);
+    let tiny = engine_with(1);
 
-    let referee = fingerprint(&uncached.analyze_all(alternating_batch()));
+    let referee = sequential(&alternating_batch());
     let ample_fp = fingerprint(&ample.analyze_all(alternating_batch()));
     let tiny_fp = fingerprint(&tiny.analyze_all(alternating_batch()));
     assert_eq!(referee, ample_fp, "ample cache must not change results");
@@ -98,12 +118,11 @@ fn thrashing_cache_is_a_pure_performance_knob() {
     assert!(tiny_m.cache_evictions > 0, "{tiny_m:?}");
     assert!(tiny_m.cache_entries <= 1, "{tiny_m:?}");
     assert_eq!(tiny_m.cache_capacity, 1);
-    assert_eq!(uncached.metrics().cache_hits, 0);
 }
 
 #[test]
 fn cache_counters_reconcile_with_request_counts() {
-    let engine = engine_with(1, true);
+    let engine = engine_with(1);
     let results = engine.analyze_all(alternating_batch());
 
     // Per request: every match job either probed the cache (hit or

@@ -13,8 +13,10 @@
 //!
 //! Layout: one global `AtomicU64` hands out sequence numbers; event
 //! `seq` lives in stripe `seq % STRIPES` at slot
-//! `(seq / STRIPES) % per_stripe`. Because the mapping is a pure
-//! function of `seq`, the set of surviving events is always the last
+//! `(seq / STRIPES) % per_stripe`. A slot only ever takes a newer
+//! event than the one it holds (a writer delayed between taking its
+//! `seq` and locking its stripe drops its stale event), so once writers
+//! settle the surviving events are exactly the last
 //! `STRIPES * per_stripe` sequence numbers — exact global oldest-first
 //! eviction without any cross-stripe coordination. Writers contend
 //! only on their own stripe's mutex (held for a field-wise store, no
@@ -128,8 +130,10 @@ pub fn event(kind: &'static str, request_id: &str, detail: String) {
         detail,
     };
     let stripe = (seq as usize) % STRIPES;
-    let slot = (seq as usize / STRIPES) % r.per_stripe;
-    lock(&r.stripes[stripe])[slot] = Some(ev);
+    let slot = &mut lock(&r.stripes[stripe])[(seq as usize / STRIPES) % r.per_stripe];
+    if slot.as_ref().is_none_or(|held| held.seq < seq) {
+        *slot = Some(ev);
+    }
 }
 
 /// Copies out every surviving event, oldest first (sorted by `seq`).
@@ -144,10 +148,9 @@ pub fn snapshot() -> Vec<FlightEvent> {
     out
 }
 
-/// Renders the blackbox dump: a snapshot plus the reason it was taken
-/// and ring accounting, as one JSON object.
-pub fn blackbox_json(reason: &str) -> String {
-    let events = snapshot();
+/// Renders the blackbox dump: `events` (a [`snapshot`]) plus the reason
+/// it was taken and ring accounting, as one JSON object.
+pub fn blackbox_json(reason: &str, events: &[FlightEvent]) -> String {
     let mut out = String::with_capacity(64 + events.len() * 96);
     out.push('{');
     ser_key(&mut out, "reason");
@@ -165,9 +168,12 @@ pub fn blackbox_json(reason: &str) -> String {
     out
 }
 
-/// Writes [`blackbox_json`] to `path`.
-pub fn write_blackbox(path: &std::path::Path, reason: &str) -> std::io::Result<()> {
-    std::fs::write(path, blackbox_json(reason))
+/// Writes [`blackbox_json`] of a fresh snapshot to `path`; returns the
+/// number of events written.
+pub fn write_blackbox(path: &std::path::Path, reason: &str) -> std::io::Result<usize> {
+    let events = snapshot();
+    std::fs::write(path, blackbox_json(reason, &events))?;
+    Ok(events.len())
 }
 
 #[cfg(test)]
@@ -192,7 +198,7 @@ mod tests {
             .any(|e| e.kind == "test_evt" && e.request_id == "rid-2" && e.detail == "k=w"));
         assert!(recorded() >= 2);
 
-        let json = blackbox_json("unit_test");
+        let json = blackbox_json("unit_test", &snap);
         let v = crate::json::parse(&json).expect("blackbox parses");
         assert_eq!(v.get("reason").and_then(|r| r.as_str()), Some("unit_test"));
         assert!(v.get("events").and_then(|e| e.as_arr()).is_some());

@@ -2,7 +2,7 @@
 //! (DESIGN.md §18; ROADMAP open item 2).
 //!
 //! The analysis pipeline — minc parse → IR → trace → DDG → sub-DDG
-//! decomposition → CP matching — is a chain of pure functions, so
+//! decomposition → pattern matching — is a chain of pure functions, so
 //! every stage can be memoized under a canonical content hash of its
 //! input, salsa-style (SNIPPETS.md Snippet 1's `db: &dyn Db` idiom):
 //!
@@ -29,6 +29,11 @@
 //! from an *edited* program hit match outcomes recorded for the
 //! unedited one.
 //!
+//! Every [`QueryDb`] holds all seven stages, and every engine runs on
+//! one — `Engine::new` builds a default-sized DB, the daemon a
+//! configured one — so batch experiments and the daemon walk the same
+//! memo chain.
+//!
 //! The trace, exec, and find stages persist across daemon restarts
 //! ([`persist`]): versioned append-only segments, loaded on start,
 //! rewritten on clean shutdown.
@@ -53,12 +58,10 @@ use trace::RunConfig;
 
 /// Sizing for the query DB. Every pipeline stage store gets the same
 /// entry/byte caps; the match stage keeps its own (it has an order of
-/// magnitude more, smaller, entries), and a match-only DB reads only
-/// those.
+/// magnitude more, smaller, entries).
 #[derive(Clone, Copy, Debug)]
 pub struct QueryConfig {
-    /// Match-stage toggle and entry/byte caps (0 = unbounded).
-    pub match_enabled: bool,
+    /// Match-stage entry/byte caps (0 = unbounded).
     pub match_capacity: usize,
     pub match_capacity_bytes: usize,
     /// Per-stage entry cap for the pipeline stores (0 = unbounded).
@@ -72,7 +75,6 @@ pub struct QueryConfig {
 impl Default for QueryConfig {
     fn default() -> Self {
         QueryConfig {
-            match_enabled: true,
             match_capacity: DEFAULT_CACHE_CAPACITY,
             match_capacity_bytes: 0,
             stage_capacity: 4096,
@@ -85,7 +87,6 @@ impl Default for QueryConfig {
 /// responses and `ObsReport` sections).
 #[derive(Clone, Copy, Debug, Default, serde::Serialize)]
 pub struct QueryStats {
-    pub full: bool,
     pub programs: StoreMetrics,
     pub fnir: StoreMetrics,
     pub trace: StoreMetrics,
@@ -95,7 +96,12 @@ pub struct QueryStats {
     pub match_cache: StoreMetrics,
 }
 
-struct Stages {
+/// The shared, cross-request memo database: all seven stages. One
+/// instance lives behind an `Arc` in the engine (and the daemon),
+/// shared by every worker, so repeated and edited requests reuse every
+/// unchanged stage.
+pub struct QueryDb {
+    match_cache: MatchCache,
     programs: Store<ContentHash, Program>,
     fnir: Store<ContentHash, CachedFnIr>,
     trace: Store<ContentHash, TraceArtifact>,
@@ -104,52 +110,19 @@ struct Stages {
     find: Store<ContentHash, FindArtifact>,
 }
 
-/// The shared, cross-request memo database. One instance lives behind
-/// an `Arc` in the engine (and the daemon), shared by every worker.
-///
-/// Two construction modes:
-/// - [`QueryDb::match_only`] — just the match stage. This is what
-///   `Engine::new` builds: batch workloads memoize matching and
-///   nothing else.
-/// - [`QueryDb::full`] — all seven stages. This is what the daemon and
-///   the incremental bench build: repeated and edited requests reuse
-///   every unchanged stage.
-pub struct QueryDb {
-    match_cache: MatchCache,
-    stages: Option<Stages>,
-}
-
 impl QueryDb {
-    /// Match stage only, sized by `config`'s `match_*` fields.
-    pub fn match_only(config: QueryConfig) -> QueryDb {
-        QueryDb {
-            match_cache: MatchCache::from_config(&config),
-            stages: None,
-        }
-    }
-
-    /// The full pipeline DB.
+    /// The pipeline DB, sized by `config`.
     pub fn full(config: QueryConfig) -> QueryDb {
+        let (cap, bytes) = (config.stage_capacity, config.stage_capacity_bytes);
         QueryDb {
             match_cache: MatchCache::from_config(&config),
-            stages: Some(Stages {
-                programs: Store::new(
-                    "program",
-                    config.stage_capacity,
-                    config.stage_capacity_bytes,
-                ),
-                fnir: Store::new("fnir", config.stage_capacity, config.stage_capacity_bytes),
-                trace: Store::new("trace", config.stage_capacity, config.stage_capacity_bytes),
-                exec: Store::new("exec", config.stage_capacity, config.stage_capacity_bytes),
-                subddg: Store::new("subddg", config.stage_capacity, config.stage_capacity_bytes),
-                find: Store::new("find", config.stage_capacity, config.stage_capacity_bytes),
-            }),
+            programs: Store::new("program", cap, bytes),
+            fnir: Store::new("fnir", cap, bytes),
+            trace: Store::new("trace", cap, bytes),
+            exec: Store::new("exec", cap, bytes),
+            subddg: Store::new("subddg", cap, bytes),
+            find: Store::new("find", cap, bytes),
         }
-    }
-
-    /// Whether the pipeline stages are enabled (vs match-only).
-    pub fn is_full(&self) -> bool {
-        self.stages.is_some()
     }
 
     pub fn match_cache(&self) -> &MatchCache {
@@ -157,39 +130,36 @@ impl QueryDb {
     }
 
     /// The per-function IR memo handle for
-    /// [`minc::compile_files_with_cache`], when the DB is full.
+    /// [`minc::compile_files_with_cache`]. Always `Some`; the `Option`
+    /// matches that function's parameter.
     pub fn fn_ir_cache(&self) -> Option<&dyn FnIrCache> {
-        self.stages.as_ref().map(|_| self as &dyn FnIrCache)
+        Some(self)
     }
 
     // ---- program stage ----
 
     pub fn program_get(&self, source_fp: ContentHash) -> Option<Arc<Program>> {
-        self.stages.as_ref()?.programs.get(&source_fp)
+        self.programs.get(&source_fp)
     }
 
     pub fn program_put(&self, source_fp: ContentHash, program: Arc<Program>) {
-        if let Some(s) = &self.stages {
-            // Serialized-IR length approximates the resident footprint
-            // well enough for eviction purposes.
-            let mut buf = String::new();
-            use serde::Serialize;
-            program.serialize_json(&mut buf);
-            s.programs.put(source_fp, program, 64 + buf.len());
-        }
+        // Serialized-IR length approximates the resident footprint well
+        // enough for eviction purposes.
+        let mut buf = String::new();
+        use serde::Serialize;
+        program.serialize_json(&mut buf);
+        self.programs.put(source_fp, program, 64 + buf.len());
     }
 
     // ---- trace stage ----
 
     pub fn trace_get(&self, key: ContentHash) -> Option<Arc<TraceArtifact>> {
-        self.stages.as_ref()?.trace.get(&key)
+        self.trace.get(&key)
     }
 
     pub fn trace_put(&self, key: ContentHash, artifact: TraceArtifact) {
-        if let Some(s) = &self.stages {
-            let bytes = artifact.approx_bytes();
-            s.trace.put(key, Arc::new(artifact), bytes);
-        }
+        let bytes = artifact.approx_bytes();
+        self.trace.put(key, Arc::new(artifact), bytes);
     }
 
     // ---- exec stage ----
@@ -198,56 +168,50 @@ impl QueryDb {
     /// of resident entries is also the engine's gate for running the
     /// fingerprint probe at all ([`QueryDb::exec_len`]).
     pub fn exec_get(&self, exec_fp: ContentHash) -> Option<ExecEntry> {
-        self.stages.as_ref()?.exec.get(&exec_fp).map(|e| *e)
+        self.exec.get(&exec_fp).map(|e| *e)
     }
 
     pub fn exec_put(&self, exec_fp: ContentHash, entry: ExecEntry) {
-        if let Some(s) = &self.stages {
-            s.exec.put(exec_fp, Arc::new(entry), 64);
-        }
+        self.exec.put(exec_fp, Arc::new(entry), 64);
     }
 
     /// Resident exec-stage entries. Zero means no traced run has
     /// recorded a fingerprint yet, so a probe run cannot hit — the
     /// engine skips the probe and keeps the cold path cold.
     pub fn exec_len(&self) -> usize {
-        self.stages.as_ref().map(|s| s.exec.len()).unwrap_or(0)
+        self.exec.len()
     }
 
     // ---- sub-DDG stage ----
 
     pub fn subddg_get(&self, key: ContentHash) -> Option<Arc<Vec<SubDdg>>> {
-        self.stages.as_ref()?.subddg.get(&key)
+        self.subddg.get(&key)
     }
 
     pub fn subddg_put(&self, key: ContentHash, subs: Arc<Vec<SubDdg>>) {
-        if let Some(s) = &self.stages {
-            let bytes: usize = subs
-                .iter()
-                .map(|sub| {
-                    64 + sub.nodes.capacity() / 8
-                        + sub
-                            .groups
-                            .as_ref()
-                            .map(|gs| gs.iter().map(|g| 24 + 4 * g.len()).sum::<usize>())
-                            .unwrap_or(0)
-                })
-                .sum();
-            s.subddg.put(key, subs, bytes);
-        }
+        let bytes: usize = subs
+            .iter()
+            .map(|sub| {
+                64 + sub.nodes.capacity() / 8
+                    + sub
+                        .groups
+                        .as_ref()
+                        .map(|gs| gs.iter().map(|g| 24 + 4 * g.len()).sum::<usize>())
+                        .unwrap_or(0)
+            })
+            .sum();
+        self.subddg.put(key, subs, bytes);
     }
 
     // ---- find stage ----
 
     pub fn find_get(&self, key: ContentHash) -> Option<Arc<FindArtifact>> {
-        self.stages.as_ref()?.find.get(&key)
+        self.find.get(&key)
     }
 
     pub fn find_put(&self, key: ContentHash, artifact: FindArtifact) {
-        if let Some(s) = &self.stages {
-            let bytes = artifact.approx_bytes();
-            s.find.put(key, Arc::new(artifact), bytes);
-        }
+        let bytes = artifact.approx_bytes();
+        self.find.put(key, Arc::new(artifact), bytes);
     }
 
     // ---- persistence snapshots ----
@@ -256,9 +220,7 @@ impl QueryDb {
     /// by key (deterministic segments). Does not count hits or misses.
     pub fn export_trace(&self) -> Vec<(ContentHash, Arc<TraceArtifact>)> {
         let mut out = Vec::new();
-        if let Some(s) = &self.stages {
-            s.trace.for_each(|k, v| out.push((*k, Arc::clone(v))));
-        }
+        self.trace.for_each(|k, v| out.push((*k, Arc::clone(v))));
         out.sort_by_key(|(k, _)| k.0);
         out
     }
@@ -267,9 +229,7 @@ impl QueryDb {
     /// by key. Does not count hits or misses.
     pub fn export_exec(&self) -> Vec<(ContentHash, ExecEntry)> {
         let mut out = Vec::new();
-        if let Some(s) = &self.stages {
-            s.exec.for_each(|k, v| out.push((*k, **v)));
-        }
+        self.exec.for_each(|k, v| out.push((*k, **v)));
         out.sort_by_key(|(k, _)| k.0);
         out
     }
@@ -278,28 +238,21 @@ impl QueryDb {
     /// by key. Does not count hits or misses.
     pub fn export_find(&self) -> Vec<(ContentHash, Arc<FindArtifact>)> {
         let mut out = Vec::new();
-        if let Some(s) = &self.stages {
-            s.find.for_each(|k, v| out.push((*k, Arc::clone(v))));
-        }
+        self.find.for_each(|k, v| out.push((*k, Arc::clone(v))));
         out.sort_by_key(|(k, _)| k.0);
         out
     }
 
     pub fn stats(&self) -> QueryStats {
-        let mut stats = QueryStats {
-            full: self.is_full(),
+        QueryStats {
+            programs: self.programs.metrics(),
+            fnir: self.fnir.metrics(),
+            trace: self.trace.metrics(),
+            exec: self.exec.metrics(),
+            subddg: self.subddg.metrics(),
+            find: self.find.metrics(),
             match_cache: self.match_cache.metrics(),
-            ..Default::default()
-        };
-        if let Some(s) = &self.stages {
-            stats.programs = s.programs.metrics();
-            stats.fnir = s.fnir.metrics();
-            stats.trace = s.trace.metrics();
-            stats.exec = s.exec.metrics();
-            stats.subddg = s.subddg.metrics();
-            stats.find = s.find.metrics();
         }
-        stats
     }
 }
 
@@ -307,21 +260,15 @@ impl QueryDb {
 /// lowering ([`minc::lower_with_cache`] documents the key).
 impl FnIrCache for QueryDb {
     fn get(&self, key: ContentHash) -> Option<CachedFnIr> {
-        self.stages
-            .as_ref()?
-            .fnir
-            .get(&key)
-            .map(|arc| (*arc).clone())
+        self.fnir.get(&key).map(|arc| (*arc).clone())
     }
 
     fn put(&self, key: ContentHash, value: CachedFnIr) {
-        if let Some(s) = &self.stages {
-            let mut buf = String::new();
-            use serde::Serialize;
-            value.func.serialize_json(&mut buf);
-            let bytes = 64 + buf.len();
-            s.fnir.put(key, Arc::new(value), bytes);
-        }
+        let mut buf = String::new();
+        use serde::Serialize;
+        value.func.serialize_json(&mut buf);
+        let bytes = 64 + buf.len();
+        self.fnir.put(key, Arc::new(value), bytes);
     }
 }
 
@@ -560,7 +507,6 @@ mod tests {
     #[test]
     fn full_db_round_trips_every_stage() {
         let db = QueryDb::full(QueryConfig::default());
-        assert!(db.is_full());
         let program = Arc::new(ray_rot_program(None));
         let source_fp = fingerprint_source("p", &[("a.mc", "void main() {}")]);
         assert!(db.program_get(source_fp).is_none());
@@ -579,32 +525,9 @@ mod tests {
         assert_eq!(*db.trace_get(tk).unwrap(), art);
 
         let stats = db.stats();
-        assert!(stats.full);
         assert_eq!(stats.trace.hits, 1);
         assert_eq!(stats.programs.hits, 1);
         assert_eq!(stats.programs.misses, 1);
-    }
-
-    #[test]
-    fn match_only_db_ignores_stage_calls() {
-        let db = QueryDb::match_only(QueryConfig {
-            match_capacity: 16,
-            ..QueryConfig::default()
-        });
-        assert!(!db.is_full());
-        assert!(db.fn_ir_cache().is_none());
-        let k = fingerprint_str_local("k");
-        db.trace_put(
-            k,
-            TraceArtifact {
-                ddg_fp: k,
-                ddg_nodes: 0,
-                steps: 0,
-                return_value: None,
-                arrays: vec![],
-            },
-        );
-        assert!(db.trace_get(k).is_none());
     }
 
     fn fingerprint_str_local(s: &str) -> ContentHash {

@@ -90,7 +90,7 @@ enum CachedMatch {
 
 /// Result of a cache probe.
 pub enum Probe {
-    /// Fused sub-DDG (or the cache is disabled): match it directly.
+    /// Fused sub-DDG: match it directly.
     Uncacheable,
     /// Memoized outcome, rebuilt against the probing sub-DDG.
     Hit(Option<Pattern>),
@@ -113,7 +113,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// The match stage: probe/fulfil over one shared, thread-safe [`Store`]
 /// of group-space outcomes (`None` = a memoized no-match).
 pub struct MatchCache {
-    enabled: bool,
     store: Store<CacheKey, Option<CachedMatch>>,
 }
 
@@ -121,7 +120,6 @@ impl MatchCache {
     /// The match stage sized by `config`'s `match_*` fields.
     pub(crate) fn from_config(config: &QueryConfig) -> MatchCache {
         MatchCache {
-            enabled: config.match_enabled,
             store: Store::new("match", config.match_capacity, config.match_capacity_bytes),
         }
     }
@@ -129,9 +127,6 @@ impl MatchCache {
     /// Looks `sub`'s structural key up. A hit counts as a touch: the
     /// entry moves to the back of its shard's eviction order.
     pub fn probe(&self, g: &Ddg, sub: &SubDdg, budget: &MatchBudget) -> Probe {
-        if !self.enabled {
-            return Probe::Uncacheable;
-        }
         let Some(class) = dispatch_class(&sub.kind) else {
             return Probe::Uncacheable;
         };
@@ -413,18 +408,6 @@ mod tests {
         };
         let cache = default_cache();
         assert!(matches!(probe_of(&cache, &g, &fused), Probe::Uncacheable));
-    }
-
-    #[test]
-    fn disabled_cache_never_engages() {
-        let cache = MatchCache::from_config(&QueryConfig {
-            match_enabled: false,
-            ..QueryConfig::default()
-        });
-        let (g, sub) = chain(4, 0, "fadd");
-        assert!(matches!(probe_of(&cache, &g, &sub), Probe::Uncacheable));
-        let m = cache.metrics();
-        assert_eq!(m.hits + m.misses, 0);
     }
 
     /// Runs the miss → match → fulfil cycle, asserting the probe missed.

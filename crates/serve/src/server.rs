@@ -512,10 +512,10 @@ impl Server {
         let listener = UnixListener::bind(&socket)?;
         listener.set_nonblocking(true)?;
 
-        // The daemon always runs the full query DB: a resident process
-        // is exactly the workload the trace/sub-DDG/find stages pay off
-        // for (repeated and lightly-edited requests). This is the one
-        // place the configured match-cache caps take effect.
+        // A resident process is exactly the workload the trace/sub-DDG/
+        // find stages pay off for (repeated and lightly-edited
+        // requests). This is the one place the configured match-cache
+        // caps take effect.
         let db = Arc::new(QueryDb::full(QueryConfig {
             match_capacity: config.cache_capacity,
             match_capacity_bytes: config.cache_capacity_bytes,
@@ -1551,10 +1551,10 @@ fn blackbox_line(path: &str) -> String {
         return error_line("", status::BAD_REQUEST, &msg);
     }
     match obs::flight::write_blackbox(Path::new(path), "on_demand") {
-        Ok(()) => ResponseLine::new("", status::OK)
+        Ok(events) => ResponseLine::new("", status::OK)
             .str("op", "blackbox")
             .str("path", path)
-            .num("events", obs::flight::snapshot().len() as f64)
+            .num("events", events as f64)
             .num("recorded", obs::flight::recorded() as f64)
             .num("capacity", obs::flight::capacity() as f64)
             .finish(),

@@ -131,7 +131,6 @@ fn analyze_stats_and_shutdown_round_trip() {
     let engine = doc.get("engine").expect("engine section");
     assert!(engine.get("cache_capacity").and_then(Json::as_f64).unwrap() > 0.0);
     let query = doc.get("query").expect("query section");
-    assert_eq!(query.get("full"), Some(&Json::Bool(true)));
     let trace = query.get("trace").expect("trace stage");
     assert!(
         trace.get("hits").and_then(Json::as_f64).unwrap() >= 2.0,
