@@ -121,6 +121,8 @@ pub struct Ddg {
     succ_arcs: Vec<NodeId>,
     pred_offsets: Vec<u32>,
     pred_arcs: Vec<NodeId>,
+    /// Every arc runs from a lower to a higher node id.
+    ascending: bool,
 }
 
 impl Ddg {
@@ -137,6 +139,15 @@ impl Ddg {
     /// Total number of arcs.
     pub fn arc_count(&self) -> usize {
         self.succ_arcs.len()
+    }
+
+    /// True when every arc runs from a lower to a higher node id, so no
+    /// path leads from a node to an earlier one. Traced graphs always
+    /// ascend (a definition is traced before its uses) and
+    /// [`Self::induced`] keeps the order; searches that bound themselves
+    /// by id check this first.
+    pub fn arcs_ascend(&self) -> bool {
+        self.ascending
     }
 
     /// The node record.
@@ -162,6 +173,11 @@ impl Ddg {
     pub fn preds(&self, id: NodeId) -> &[NodeId] {
         let i = id.index();
         &self.pred_arcs[self.pred_offsets[i] as usize..self.pred_offsets[i + 1] as usize]
+    }
+
+    /// Number of interned labels; ids run `0..label_count()`.
+    pub fn label_count(&self) -> usize {
+        self.labels.len()
     }
 
     /// The string of a label.
@@ -226,11 +242,13 @@ impl Ddg {
         succ_offsets.push(0u32);
         let mut succ_arcs = Vec::new();
         let mut pred_counts = vec![0u32; n];
-        for old_idx in keep.iter() {
+        let mut ascending = true;
+        for (new_idx, old_idx) in keep.iter().enumerate() {
             let succs = self.succs(NodeId(old_idx as u32));
             visited += succs.len() as u64;
             for &v in succs {
                 if let Some(nv) = map[v.index()] {
+                    ascending &= nv.index() > new_idx;
                     succ_arcs.push(nv);
                     pred_counts[nv.index()] += 1;
                 }
@@ -264,6 +282,7 @@ impl Ddg {
                 succ_arcs,
                 pred_offsets,
                 pred_arcs,
+                ascending,
             },
             map,
             visited,
@@ -389,6 +408,11 @@ impl DdgBuilder {
             }
             (offsets, arcs)
         }
+        let ascending = self
+            .succs
+            .iter()
+            .enumerate()
+            .all(|(u, list)| list.iter().all(|v| v.index() > u));
         let (succ_offsets, succ_arcs) = flatten(self.succs);
         let (pred_offsets, pred_arcs) = flatten(self.preds);
         Ddg {
@@ -399,6 +423,7 @@ impl DdgBuilder {
             succ_arcs,
             pred_offsets,
             pred_arcs,
+            ascending,
         }
     }
 }
@@ -431,6 +456,24 @@ mod tests {
         assert_eq!(g.arc_count(), 4);
         assert_eq!(g.succs(NodeId(0)), &[NodeId(1), NodeId(2)]);
         assert_eq!(g.preds(NodeId(3)), &[NodeId(1), NodeId(2)]);
+    }
+
+    #[test]
+    fn arc_order_is_recorded_and_kept_by_induced() {
+        let g = diamond();
+        assert!(g.arcs_ascend());
+        assert!(g.induced(&BitSet::from_iter(4, [0, 2, 3])).0.arcs_ascend());
+
+        let mut b = DdgBuilder::new();
+        let l = b.intern_label("fadd", true);
+        let n: Vec<NodeId> = (0..3)
+            .map(|i| b.add_node(l, i, 0, 1, 1, 0, vec![]))
+            .collect();
+        b.add_arc(n[2], n[1]);
+        let g = b.finish();
+        assert!(!g.arcs_ascend());
+        assert!(!g.induced(&BitSet::from_iter(3, [1, 2])).0.arcs_ascend());
+        assert!(g.induced(&BitSet::from_iter(3, [0, 1])).0.arcs_ascend());
     }
 
     #[test]

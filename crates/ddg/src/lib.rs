@@ -29,4 +29,4 @@ pub mod structural;
 pub use algo::{is_convex, is_weakly_connected, reachable_from, topo_order, Reachability};
 pub use bitset::BitSet;
 pub use graph::{Ddg, DdgBuilder, LabelId, Node, NodeId, ScopeEntry};
-pub use structural::{grouped_key, KeyBuilder, StructuralKey};
+pub use structural::{grouped_hash, grouped_key, StructuralKey};

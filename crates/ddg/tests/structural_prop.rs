@@ -1,20 +1,24 @@
-//! Property tests of the structural cache key: equal keys must imply
-//! group-level op-isomorphism of the compacted views (no false cache
-//! hits), and op-preserving renamings must not change the key (no
-//! spurious misses for isomorphic views).
+//! Property tests of the match stage's structural key
+//! ([`ddg::grouped_hash`]): equal keys must imply group-level
+//! op-isomorphism of the compacted views (no false cache hits), and
+//! op-preserving renamings must not change the key (no spurious misses
+//! for isomorphic views). A third property checks that the hashed key
+//! splits views exactly as the exact reference [`ddg::grouped_key`]
+//! does, on graphs whose arcs ascend and on graphs with backward arcs.
 //!
 //! The oracle re-derives the §4-relevant facts with independent code
 //! (naive DFS reachability, set-based encodings) so encoder bugs such as
 //! ambiguous concatenation cannot hide.
 
-use ddg::{grouped_key, BitSet, Ddg, DdgBuilder, NodeId};
+use ddg::{grouped_hash, grouped_key, BitSet, Ddg, DdgBuilder, NodeId};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
 const LABEL_BANK: [(&str, bool); 3] = [("fadd", true), ("fmul", true), ("call.sqrt", false)];
 
-/// Specification of a random grouped view: a DAG (arcs forced low → high)
-/// plus a partition of a node subset into consecutive groups.
+/// Specification of a random grouped view: a graph (arcs forced low →
+/// high unless `backward`) plus a partition of a node subset into
+/// consecutive groups.
 #[derive(Clone, Debug)]
 struct Spec {
     n: usize,
@@ -24,6 +28,9 @@ struct Spec {
     reads: Vec<bool>,
     writes: Vec<bool>,
     group_sizes: Vec<usize>,
+    /// Keep arcs that run from a higher to a lower id too (the graph may
+    /// then have cycles; both keys must still agree on it).
+    backward: bool,
 }
 
 fn spec_strategy(max_n: usize) -> impl Strategy<Value = Spec> {
@@ -44,6 +51,7 @@ fn spec_strategy(max_n: usize) -> impl Strategy<Value = Spec> {
             reads,
             writes,
             group_sizes,
+            backward: false,
         })
 }
 
@@ -85,7 +93,7 @@ fn build(spec: &Spec, label_perm: bool, op_offset: u32) -> (Ddg, Vec<Vec<NodeId>
     }
     for &(u, v) in &spec.arcs {
         let (u, v) = (u % spec.n, v % spec.n);
-        if u < v {
+        if u < v || (spec.backward && u != v) {
             b.add_arc(nodes[u], nodes[v]);
         }
     }
@@ -234,8 +242,8 @@ proptest! {
         let (g1, groups1) = build(&spec, false, 0);
         let (g2, groups2) = build(&spec, true, 1000);
         prop_assert_eq!(
-            grouped_key(&g1, &groups1, 3),
-            grouped_key(&g2, &groups2, 3)
+            grouped_hash(&g1, &groups1, 3),
+            grouped_hash(&g2, &groups2, 3)
         );
     }
 
@@ -249,9 +257,27 @@ proptest! {
     ) {
         let (ga, groups_a) = build(&a, false, 0);
         let (gb, groups_b) = build(&b, false, 0);
-        if grouped_key(&ga, &groups_a, 0) == grouped_key(&gb, &groups_b, 0) {
+        if grouped_hash(&ga, &groups_a, 0) == grouped_hash(&gb, &groups_b, 0) {
             prop_assert_eq!(facts(&ga, &groups_a), facts(&gb, &groups_b));
         }
+    }
+
+    /// The hashed key splits views exactly as the exact reference does,
+    /// whether the search bound applies (ascending arcs) or the key falls
+    /// back to whole-graph searches (backward arcs).
+    #[test]
+    fn hashed_key_splits_views_like_the_exact_key(
+        a in spec_strategy(4),
+        b in spec_strategy(4),
+        backward in any::<bool>(),
+    ) {
+        let (a, b) = (Spec { backward, ..a }, Spec { backward, ..b });
+        let (ga, groups_a) = build(&a, false, 0);
+        let (gb, groups_b) = build(&b, true, 7);
+        prop_assert_eq!(
+            grouped_key(&ga, &groups_a, 0) == grouped_key(&gb, &groups_b, 0),
+            grouped_hash(&ga, &groups_a, 0) == grouped_hash(&gb, &groups_b, 0)
+        );
     }
 
     /// The key agrees with the oracle on convexity of the grouped subset.

@@ -27,6 +27,13 @@ pub struct JobFault {
 }
 
 impl JobFault {
+    /// True when anything is planned for the job. The engine never
+    /// defers such a job behind an equal-keyed one, so the fault fires
+    /// in the job it names.
+    pub fn is_planned(&self) -> bool {
+        self.panic || self.delay.is_some()
+    }
+
     /// Executes the fault inside the job (and inside its panic
     /// containment): sleep first, then panic if planned.
     pub fn fire(&self) {

@@ -15,8 +15,10 @@
 //!   interleave (subtraction and fusion stay sequential on the
 //!   coordinator — they are the cheap, order-sensitive part);
 //! - across requests (and iterations), a [`repro_query::MatchCache`]
-//!   memoizes match outcomes under the canonical structural key of the
-//!   compacted sub-DDG view, so op-isomorphic views match once;
+//!   memoizes match outcomes under a 128-bit structural hash of the
+//!   compacted sub-DDG view, so op-isomorphic views match once (and,
+//!   within one iteration, a repeated key waits for its first match
+//!   instead of racing it);
 //! - finished [`AnalysisResult`]s stream to the caller over a bounded
 //!   channel in completion order, with per-phase wall times and
 //!   cache/pool counters for the evaluation harness (Fig. 7, Table 3).
@@ -33,17 +35,19 @@ pub mod fault;
 pub mod pool;
 
 use cp::CancelToken;
-use discovery::models::{match_subddg_full, MatchOutcome};
-use discovery::{FinderConfig, FinderResult, FrontEnd, SubDdg};
+use ddg::Ddg;
+use discovery::models::{match_subddg_full, MatchBudget, MatchOutcome};
+use discovery::{FinderConfig, FinderResult, FinderState, FrontEnd, MatchJob, SubDdg};
 use pool::{PoolMetrics, WorkPool};
 use repro_query::{
-    find_key, fingerprint_finder_config, fingerprint_input, subddg_key, trace_key, ExecEntry,
-    FindArtifact, Probe, QueryConfig, QueryDb, TraceArtifact,
+    exec_shape_key, find_key, fingerprint_finder_config, fingerprint_input, subddg_key, trace_key,
+    ExecEntry, FindArtifact, MatchCache, MatchKey, PendingEntry, QueryConfig, QueryDb,
+    TraceArtifact,
 };
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -578,6 +582,11 @@ fn run_request(
         }
     }
 
+    // The exec probe's gate key, computed only now that the pre-trace
+    // lookup missed. An invalid program has no shape: it gets no probe,
+    // and its full run below answers with the validation error.
+    let shape = exec_shape_key(&req.program, &req.input);
+
     let t0 = Instant::now();
     let mut input = req.input.clone();
     input.trace = trace::TraceMode::Full;
@@ -589,21 +598,23 @@ fn run_request(
         input.fault = Some(f);
     }
 
-    // Exec-fingerprint probe: when the exec stage holds *any* entries,
-    // spend an untraced run (~5x cheaper than tracing) hashing the
-    // executed instruction/address stream. Equal streams produce
-    // byte-identical DDGs, so a fingerprint hit re-keys an *edited*
-    // program — a trace-stage miss — to its cached DDG identity, and a
-    // find hit on that identity replays the whole analysis without ever
-    // tracing. Any miss falls through to the normal traced run. The
-    // probe is skipped while the exec index is empty (a cold DB never
-    // pays for it) and under injected trace faults (the fault must
-    // surface through the real run).
+    // Exec-fingerprint probe: spend an untraced run (~5x cheaper than
+    // tracing) hashing the executed instruction/address stream. Equal
+    // streams produce byte-identical DDGs, so a fingerprint hit re-keys
+    // an *edited* program — a trace-stage miss — to its cached DDG
+    // identity, and a find hit on that identity replays the whole
+    // analysis without ever tracing. Any miss falls through to the
+    // normal traced run. The probe runs only where it can hit: the exec
+    // stage must hold entries (a cold DB never pays for the gate
+    // either) and the gate must have this request's shape armed — a
+    // full run of the same constant-erased program on an input of the
+    // same shape. It is also skipped under injected trace faults (the
+    // fault must surface through the real run).
     #[cfg(feature = "fault-inject")]
     let probe_safe = input.fault.is_none();
     #[cfg(not(feature = "fault-inject"))]
     let probe_safe = true;
-    if db.exec_len() > 0 && probe_safe {
+    if shape.is_some_and(|shape| probe_safe && db.exec_len() > 0 && db.exec_gate(shape)) {
         let mut probe_input = input.clone();
         probe_input.trace = trace::TraceMode::Off;
         probe_input.exec_fingerprint = true;
@@ -635,7 +646,7 @@ fn run_request(
         }
     }
     // Record the fingerprint on full runs so future edits can probe
-    // against it.
+    // against it, and arm the gate for their shape.
     input.exec_fingerprint = true;
 
     let run = trace::run(&req.program, &input);
@@ -662,13 +673,16 @@ fn run_request(
     // replays from its fingerprint.
     let ddg_fp = repro_query::fingerprint_ddg(&ddg);
     db.trace_put(tkey, TraceArtifact::from_run(&run, ddg_fp, ddg.len()));
-    if let Some(exec_fp) = run.exec_fp {
-        db.exec_put(
+    // A program without a shape failed validation, so its run failed
+    // above: every run that gets here records its entry and arms it.
+    if let (Some(exec_fp), Some(shape)) = (run.exec_fp, shape) {
+        db.exec_put_shaped(
             repro_ir::ContentHash(exec_fp),
             ExecEntry {
                 ddg_fp,
                 ddg_nodes: ddg.len() as u64,
             },
+            shape,
         );
     }
     let fkey = find_key(ddg_fp, config_fp);
@@ -753,105 +767,100 @@ fn run_request(
         let (tx, rx) = mpsc::channel::<(usize, JobReply)>();
         let mut outcomes: Vec<(usize, MatchOutcome)> = Vec::with_capacity(jobs.len());
         let mut in_flight = 0usize;
+        // Keys this iteration already missed. A later job with one of
+        // them is deferred until the first job's fulfil has landed,
+        // instead of racing it, so which probes hit does not depend on
+        // pool timing.
+        let mut missed: HashSet<MatchKey> = HashSet::new();
+        let mut deferred: Vec<(MatchJob, MatchKey)> = Vec::new();
         for job in jobs {
-            let job_ordinal = metrics.match_jobs;
+            // Fault ordinals count every job, deferred ones included.
+            #[cfg(feature = "fault-inject")]
+            let injected = plan.map_or(fault::JobFault::default(), |p| {
+                p.match_fault(&req.id, metrics.match_jobs)
+            });
             metrics.match_jobs += 1;
-            let pending = match cache.probe(state.graph(), &job.sub, &budget) {
-                Probe::Hit(p) => {
-                    metrics.cache_hits += 1;
-                    obs::instant("cache.hit");
-                    #[cfg(debug_assertions)]
-                    if let Some(p) = &p {
-                        debug_assert!(
-                            discovery::models::verify::check(state.graph(), p),
-                            "cache rebuilt an invalid pattern: {}",
-                            p.describe()
-                        );
-                    }
-                    outcomes.push((job.pool_index, MatchOutcome::definitive(p)));
+            // A job with a planned fault is never deferred: the fault
+            // must fire in its own job.
+            #[cfg(feature = "fault-inject")]
+            let deferrable = !injected.is_planned();
+            #[cfg(not(feature = "fault-inject"))]
+            let deferrable = true;
+            let key = MatchKey::of(state.graph(), &job.sub, &budget);
+            let pending = match key {
+                Some(key) if deferrable && missed.contains(&key) => {
+                    deferred.push((job, key));
                     continue;
                 }
-                Probe::Miss(pending) => {
-                    metrics.cache_misses += 1;
-                    obs::instant("cache.miss");
+                Some(key) => {
+                    let Some(pending) =
+                        lookup(cache, &state, &job, key, &mut metrics, &mut outcomes)
+                    else {
+                        continue;
+                    };
+                    missed.insert(key);
                     Some(pending)
                 }
-                Probe::Uncacheable => {
+                None => {
                     metrics.cache_bypassed += 1;
                     obs::instant("cache.bypass");
                     None
                 }
             };
-            let g = state.graph_arc();
-            let job_db = Arc::clone(db);
-            let tx = tx.clone();
-            #[cfg(feature = "fault-inject")]
-            let injected = plan.map_or(fault::JobFault::default(), |p| {
-                p.match_fault(&req.id, job_ordinal)
-            });
-            #[cfg(not(feature = "fault-inject"))]
-            let _ = job_ordinal;
+            submit_match(
+                pool,
+                db,
+                &tx,
+                state.graph_arc(),
+                job,
+                budget,
+                pending,
+                #[cfg(feature = "fault-inject")]
+                injected,
+            );
             in_flight += 1;
-            pool.submit(Box::new(move || {
-                // Panic isolation: a panicking model (or injected fault)
-                // becomes a recorded per-sub-DDG fault on the
-                // coordinator, degraded to no-match — never a dead
-                // worker or a lost iteration.
-                let matched = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-inject")]
-                    injected.fire();
-                    match_subddg_full(&g, &job.sub, &budget)
-                }));
-                let reply = match matched {
-                    Ok(outcome) => {
-                        // Exhausted (time-truncated) outcomes are
-                        // time-dependent, not structural: memoizing one
-                        // would serve a truncated no-match to a request
-                        // with time to spare. Only definitive outcomes
-                        // enter the cache.
-                        if let Some(pending) = pending {
-                            if !outcome.exhausted {
-                                job_db
-                                    .match_cache()
-                                    .fulfil(pending, &job.sub, &outcome.pattern);
-                            }
-                        }
-                        JobReply::Done(outcome)
-                    }
-                    Err(_) => JobReply::Fault,
-                };
-                // The coordinator may have abandoned the batch.
-                let _ = tx.send((job.pool_index, reply));
-            }));
         }
         drop(tx);
-        for got in 0..in_flight {
-            match rx.recv() {
-                Ok((pool_index, JobReply::Done(outcome))) => {
-                    outcomes.push((pool_index, outcome));
-                }
-                Ok((pool_index, JobReply::Fault)) => {
-                    state.note_fault();
-                    metrics.match_faults += 1;
-                    obs::instant("engine.match_fault");
-                    outcomes.push((pool_index, MatchOutcome::default()));
-                }
-                Err(_) => {
-                    // Every sender hung up with outcomes still owed: a
-                    // worker died outside the job's containment. Fail
-                    // this request; the batch and the engine live on.
-                    metrics.deadline_hit = cancel.is_expired();
-                    req_span.arg("result", obs::ArgValue::Static("worker-lost"));
-                    return AnalysisResult {
-                        id: req.id,
-                        index,
-                        outcome: Err(EngineError::WorkerLost {
-                            missing: in_flight - got,
-                        }),
-                        metrics,
-                    };
+        // Wait out the first wave, then answer each deferred job from the
+        // store its key's first miss filled. A miss here — that outcome
+        // was exhausted or faulted, so nothing was stored — matches the
+        // job after all, in a second wave.
+        let mut lost = receive(&rx, in_flight, &mut outcomes, &mut state, &mut metrics);
+        if lost.is_none() && !deferred.is_empty() {
+            let (tx, rx) = mpsc::channel::<(usize, JobReply)>();
+            let mut in_flight = 0usize;
+            for (job, key) in deferred {
+                if let Some(pending) = lookup(cache, &state, &job, key, &mut metrics, &mut outcomes)
+                {
+                    submit_match(
+                        pool,
+                        db,
+                        &tx,
+                        state.graph_arc(),
+                        job,
+                        budget,
+                        Some(pending),
+                        #[cfg(feature = "fault-inject")]
+                        fault::JobFault::default(),
+                    );
+                    in_flight += 1;
                 }
             }
+            drop(tx);
+            lost = receive(&rx, in_flight, &mut outcomes, &mut state, &mut metrics);
+        }
+        if let Some(missing) = lost {
+            // Every sender hung up with outcomes still owed: a worker
+            // died outside the job's containment. Fail this request; the
+            // batch and the engine live on.
+            metrics.deadline_hit = cancel.is_expired();
+            req_span.arg("result", obs::ArgValue::Static("worker-lost"));
+            return AnalysisResult {
+                id: req.id,
+                index,
+                outcome: Err(EngineError::WorkerLost { missing }),
+                metrics,
+            };
         }
         state.end_matching(phase);
         // `apply_matches` re-applies in pool order; sorting here just
@@ -880,6 +889,110 @@ fn run_request(
         outcome: Ok(Analysis { result, run }),
         metrics,
     }
+}
+
+/// Looks `job`'s key up in the match cache and counts the outcome. A
+/// hit's rebuilt pattern joins `outcomes` (checked against the graph in
+/// debug builds); a miss returns its ticket for the job that matches.
+fn lookup(
+    cache: &MatchCache,
+    state: &FinderState,
+    job: &MatchJob,
+    key: MatchKey,
+    metrics: &mut RequestMetrics,
+    outcomes: &mut Vec<(usize, MatchOutcome)>,
+) -> Option<PendingEntry> {
+    match cache.lookup(state.graph(), &job.sub, key) {
+        Ok(p) => {
+            metrics.cache_hits += 1;
+            obs::instant("cache.hit");
+            #[cfg(debug_assertions)]
+            if let Some(p) = &p {
+                debug_assert!(
+                    discovery::models::verify::check(state.graph(), p),
+                    "cache rebuilt an invalid pattern: {}",
+                    p.describe()
+                );
+            }
+            outcomes.push((job.pool_index, MatchOutcome::definitive(p)));
+            None
+        }
+        Err(pending) => {
+            metrics.cache_misses += 1;
+            obs::instant("cache.miss");
+            Some(pending)
+        }
+    }
+}
+
+/// Runs one match job on the pool. The job replies over `tx` with its
+/// outcome, or with a fault if the model panicked; a definitive outcome
+/// of a missed probe also fulfils `pending`.
+#[allow(clippy::too_many_arguments)]
+fn submit_match(
+    pool: &WorkPool,
+    db: &Arc<QueryDb>,
+    tx: &Sender<(usize, JobReply)>,
+    g: Arc<Ddg>,
+    job: MatchJob,
+    budget: MatchBudget,
+    pending: Option<PendingEntry>,
+    #[cfg(feature = "fault-inject")] injected: fault::JobFault,
+) {
+    let db = Arc::clone(db);
+    let tx = tx.clone();
+    pool.submit(Box::new(move || {
+        // Panic isolation: a panicking model (or injected fault) becomes
+        // a recorded per-sub-DDG fault on the coordinator, degraded to
+        // no-match — never a dead worker or a lost iteration.
+        let matched = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(feature = "fault-inject")]
+            injected.fire();
+            match_subddg_full(&g, &job.sub, &budget)
+        }));
+        let reply = match matched {
+            Ok(outcome) => {
+                // Exhausted (time-truncated) outcomes are time-dependent,
+                // not structural: memoizing one would serve a truncated
+                // no-match to a request with time to spare. Only
+                // definitive outcomes enter the cache.
+                if let Some(pending) = pending {
+                    if !outcome.exhausted {
+                        db.match_cache().fulfil(pending, &job.sub, &outcome.pattern);
+                    }
+                }
+                JobReply::Done(outcome)
+            }
+            Err(_) => JobReply::Fault,
+        };
+        // The coordinator may have abandoned the batch.
+        let _ = tx.send((job.pool_index, reply));
+    }));
+}
+
+/// Collects `n` job replies into `outcomes`, degrading faults to
+/// no-match. Returns the number still owed if every sender hung up
+/// first (a worker died outside its job's containment).
+fn receive(
+    rx: &Receiver<(usize, JobReply)>,
+    n: usize,
+    outcomes: &mut Vec<(usize, MatchOutcome)>,
+    state: &mut FinderState,
+    metrics: &mut RequestMetrics,
+) -> Option<usize> {
+    for got in 0..n {
+        match rx.recv() {
+            Ok((pool_index, JobReply::Done(outcome))) => outcomes.push((pool_index, outcome)),
+            Ok((pool_index, JobReply::Fault)) => {
+                state.note_fault();
+                metrics.match_faults += 1;
+                obs::instant("engine.match_fault");
+                outcomes.push((pool_index, MatchOutcome::default()));
+            }
+            Err(_) => return Some(n - got),
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -119,12 +119,15 @@ impl Shared {
     /// already released whatever reply channel it held, which is the
     /// submitter's signal.
     fn execute(&self, job: Job) {
+        // Counted before the job runs: a job's last act is usually its
+        // reply, so a submitter holding every reply already sees every
+        // job counted (the reply channel orders the two).
+        self.executed.fetch_add(1, Ordering::Relaxed);
         let mut span = obs::span("pool.job");
         if std::panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
             self.panicked.fetch_add(1, Ordering::Relaxed);
             span.arg("panicked", obs::ArgValue::U64(1));
         }
-        self.executed.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -267,3 +267,76 @@ fn editing_loop_a_does_not_recompute_loop_b() {
         res.metrics.cache_misses,
     );
 }
+
+/// The exec probe runs only where it can hit. One program at three
+/// input sizes: the first, cold run has nothing to probe against, and
+/// the later sizes' shapes were never armed, so no probe runs — the
+/// gate skips two and the exec stage sees no lookup at all.
+#[test]
+fn new_input_sizes_skip_the_exec_probe() {
+    let (db, engine) = fresh();
+    let bench = starbench::benchmark("rgbyuv").unwrap();
+    for factor in [1, 2, 4] {
+        let r = engine.analyze_one(AnalysisRequest {
+            id: format!("rgbyuv-x{factor}"),
+            program: bench.program(Version::Seq),
+            input: (bench.scaled_input)(factor),
+            config: Default::default(),
+        });
+        r.outcome.as_ref().expect("analysis");
+        assert!(!r.metrics.query_exec_hit && !r.metrics.query_find_hit);
+    }
+    let stats = db.stats();
+    assert_eq!(stats.exec_skipped, 2, "{stats:?}");
+    assert_eq!((stats.exec.hits, stats.exec.misses), (0, 0), "{stats:?}");
+    assert_eq!(
+        stats.exec.entries, 3,
+        "every full run still records its stream"
+    );
+}
+
+/// An operator flip changes the constant-erased program, so its probe
+/// — which could not hit — is skipped; a constant edit keeps the shape,
+/// so its probe runs and replays.
+#[test]
+fn an_operator_flip_skips_the_probe_a_constant_edit_runs_it() {
+    let (db, engine) = fresh();
+    let base = engine.analyze_one(two_loop_request("base", TWO_LOOPS));
+    base.outcome.as_ref().expect("base analysis");
+
+    let flip = TWO_LOOPS.replace("* 2.0 + 1.0", "* 2.0 - 1.0");
+    let res = engine.analyze_one(two_loop_request("flip", &flip));
+    res.outcome.as_ref().expect("flip analysis");
+    let stats = db.stats();
+    assert_eq!(stats.exec_skipped, 1, "{stats:?}");
+    assert_eq!((stats.exec.hits, stats.exec.misses), (0, 0), "{stats:?}");
+
+    let constant = TWO_LOOPS.replace("+ 1.0", "+ 5.0");
+    let res = engine.analyze_one(two_loop_request("constant", &constant));
+    assert!(res.metrics.query_exec_hit, "{:?}", res.metrics);
+    let stats = db.stats();
+    assert_eq!(stats.exec_skipped, 1, "{stats:?}");
+    assert_eq!((stats.exec.hits, stats.exec.misses), (1, 0), "{stats:?}");
+}
+
+/// A store saved and reloaded (a daemon's `--cache-dir` restart) re-arms
+/// the gate from its exec entries: a constant edit after the reload is
+/// an exec hit.
+#[test]
+fn a_reloaded_store_rearms_the_exec_gate() {
+    let dir = std::env::temp_dir().join(format!("repro-engine-gate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (db, engine) = fresh();
+    let base = engine.analyze_one(two_loop_request("base", TWO_LOOPS));
+    base.outcome.as_ref().expect("base analysis");
+    repro_query::save_dir(&db, &dir).expect("save");
+
+    let (reloaded, engine) = fresh();
+    let report = repro_query::load_dir(&reloaded, &dir);
+    assert_eq!(report.corrupt_records, 0, "{report:?}");
+    let constant = TWO_LOOPS.replace("+ 1.0", "+ 5.0");
+    let res = engine.analyze_one(two_loop_request("constant", &constant));
+    assert!(res.metrics.query_exec_hit, "{:?}", res.metrics);
+    assert_eq!(reloaded.stats().exec_skipped, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,7 +3,8 @@
 //! sequential finder, which has no cache, is the referee: the same
 //! batch run with an ample cache and with a capacity-1 cache yields
 //! byte-identical patterns, and the per-request counters reconcile with
-//! the engine totals.
+//! the engine totals — and do not depend on how the pool interleaves
+//! jobs.
 
 use repro_engine::{AnalysisRequest, Engine, EngineConfig};
 use repro_query::{QueryConfig, QueryDb};
@@ -153,4 +154,45 @@ fn cache_counters_reconcile_with_request_counts() {
         m.cache_evictions + m.cache_entries as u64 <= misses,
         "every resident or evicted entry came from a missed probe: {m:?}"
     );
+}
+
+/// Starbench requests whose iterations repeat match keys: kmeans alone
+/// repeats 23 of its 32 seq keys within one iteration.
+fn repeating_batch() -> Vec<AnalysisRequest> {
+    ["kmeans", "ray-rot", "streamcluster"]
+        .iter()
+        .flat_map(|name| {
+            let bench = starbench::benchmark(name).unwrap();
+            starbench::Version::BOTH.map(|v| AnalysisRequest {
+                id: format!("{name}-{}", v.name()),
+                program: bench.program(v),
+                input: (bench.analysis_input)(),
+                config: discovery::FinderConfig::default(),
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn cache_counters_do_not_depend_on_pool_timing() {
+    // A job whose key an earlier job of its iteration already missed
+    // waits for that job's fulfil instead of racing it, so every run of
+    // one batch hits, misses and executes the same counts.
+    let counters = || {
+        let engine = Engine::new(EngineConfig {
+            workers: 4,
+            max_concurrent_requests: 1,
+            ..EngineConfig::default()
+        });
+        for r in engine.analyze_all(repeating_batch()) {
+            r.outcome.unwrap_or_else(|e| panic!("{}: {e}", r.id));
+        }
+        let m = engine.metrics();
+        (m.cache_hits, m.cache_misses, m.jobs_executed)
+    };
+    let first = counters();
+    assert!(first.0 > 0, "repeated keys must hit: {first:?}");
+    for _ in 1..5 {
+        assert_eq!(counters(), first);
+    }
 }

@@ -15,6 +15,10 @@
 //! negligible at cache scale (2^-128 birthday bound dwarfs the store
 //! capacities involved). Nothing in this module depends on pointer
 //! values, allocation order, or the host.
+//!
+//! Records that are naturally fixed-width words — traced DDGs, match
+//! keys, program shapes — hash through [`WordHasher`] instead: one
+//! avalanche mix per 64-bit word rather than two multiplies per byte.
 
 use crate::func::{Function, Program};
 use serde::Serialize;
@@ -121,6 +125,96 @@ impl ContentHasher {
     }
 }
 
+/// Multipliers of the splitmix64 finalizer, a full-avalanche bijection
+/// of `u64`.
+const MIX_1: u64 = 0xbf58_476d_1ce4_e5b9;
+const MIX_2: u64 = 0x94d0_49bb_1331_11eb;
+/// Odd lane multipliers, distinct so the lanes do not move in step.
+const LANE_A: u64 = 0x9e37_79b9_7f4a_7c15;
+const LANE_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+#[inline]
+fn avalanche(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(MIX_1);
+    x ^= x >> 27;
+    x = x.wrapping_mul(MIX_2);
+    x ^ (x >> 31)
+}
+
+/// Streaming word-at-a-time 128-bit hasher producing a [`ContentHash`],
+/// for records that are naturally fixed-width words: DDG fingerprints,
+/// match-stage keys, program shapes.
+///
+/// Every word passes a full-avalanche mix before it enters either lane,
+/// so flipping any input bit changes each lane like a fresh random word
+/// would. Word-wise FNV lacks that: flipping bit 63 of two words leaves
+/// both of its lanes unchanged. The lanes fold the mixed words with
+/// different rotations, operators and multipliers, and `finish` mixes
+/// each lane again, so every output bit is well mixed. Like
+/// [`ContentHasher`] it is not cryptographic: soundness of a key built
+/// on it rests on collision odds at cache scale.
+#[derive(Clone)]
+pub struct WordHasher {
+    a: u64,
+    b: u64,
+    words: u64,
+}
+
+impl Default for WordHasher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl WordHasher {
+    pub fn new() -> Self {
+        WordHasher {
+            a: FNV_OFFSET,
+            b: FNV_OFFSET_B,
+            words: 0,
+        }
+    }
+
+    #[inline]
+    pub fn write_u64(&mut self, w: u64) {
+        let m = avalanche(w);
+        self.a = (self.a.rotate_left(23) ^ m).wrapping_mul(LANE_A);
+        self.b = self.b.rotate_left(41).wrapping_add(m).wrapping_mul(LANE_B);
+        self.words += 1;
+    }
+
+    /// A length-prefixed `u32` sequence, packed two per word.
+    pub fn write_u32s<I>(&mut self, vs: I)
+    where
+        I: IntoIterator<Item = u32>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut vs = vs.into_iter();
+        self.write_u64(vs.len() as u64);
+        while let Some(lo) = vs.next() {
+            let hi = vs.next().map_or(0, |v| (v as u64) << 32);
+            self.write_u64(lo as u64 | hi);
+        }
+    }
+
+    /// A length-prefixed string, packed eight bytes per word.
+    pub fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(w));
+        }
+    }
+
+    pub fn finish(&self) -> ContentHash {
+        let a = avalanche(self.a ^ self.words);
+        let b = avalanche(self.b.wrapping_add(self.words.rotate_left(32)));
+        ContentHash((a as u128) << 64 | b as u128)
+    }
+}
+
 /// Fingerprints any serializable value via its canonical JSON byte
 /// form. The serde shim's derive emits fields in declaration order
 /// with no whitespace, so this is deterministic across processes.
@@ -180,6 +274,66 @@ mod tests {
         let b = fingerprint_str("b");
         assert_ne!(a.combine(b), b.combine(a));
         assert_eq!(a.combine(b), a.combine(b));
+    }
+
+    fn words(ws: &[u64]) -> ContentHash {
+        let mut h = WordHasher::new();
+        for &w in ws {
+            h.write_u64(w);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn word_hasher_sees_every_bit_and_the_order() {
+        let base = words(&[1, 2, 3]);
+        assert_eq!(base, words(&[1, 2, 3]));
+        assert_ne!(base, words(&[2, 1, 3]), "order");
+        assert_ne!(base, words(&[1, 2, 3, 0]), "length");
+        // Word-wise FNV cancels a bit-63 flip in two words; the
+        // avalanche mix must not.
+        let top = 1u64 << 63;
+        assert_ne!(base, words(&[1 ^ top, 2 ^ top, 3]));
+        for bit in 0..64 {
+            assert_ne!(base, words(&[1, 2 ^ (1 << bit), 3]), "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn word_hasher_sequences_are_length_prefixed() {
+        let hash = |f: &dyn Fn(&mut WordHasher)| {
+            let mut h = WordHasher::new();
+            f(&mut h);
+            h.finish()
+        };
+        assert_ne!(
+            hash(&|h| {
+                h.write_str("ab");
+                h.write_str("c")
+            }),
+            hash(&|h| {
+                h.write_str("a");
+                h.write_str("bc")
+            })
+        );
+        assert_ne!(
+            hash(&|h| h.write_u32s([1, 2, 3])),
+            hash(&|h| h.write_u32s([1, 2, 3, 0]))
+        );
+        assert_ne!(hash(&|h| h.write_u32s([])), hash(&|h| h.write_u32s([0])));
+    }
+
+    #[test]
+    fn word_hasher_output_bits_are_mixed() {
+        // Both halves take all eight residues mod 8 over a handful of
+        // inputs — unlike a fold of two FNV lanes over the same bytes.
+        let (mut hi, mut lo) = ([false; 8], [false; 8]);
+        for i in 0..64u64 {
+            let h = words(&[i]).0;
+            hi[((h >> 64) % 8) as usize] = true;
+            lo[(h % 8) as usize] = true;
+        }
+        assert!(hi.iter().all(|&s| s) && lo.iter().all(|&s| s));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use builder::{FnBuilder, ProgramBuilder};
 pub use expr::Expr;
 pub use fingerprint::{
     fingerprint_function, fingerprint_program, fingerprint_serialized, fingerprint_str,
-    ContentHash, ContentHasher,
+    ContentHash, ContentHasher, WordHasher,
 };
 pub use func::{Function, GlobalArray, Param, Program};
 pub use ids::{ArrId, FnId, LoopId, OpId, VarId};

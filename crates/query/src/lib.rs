@@ -14,25 +14,30 @@
 //! | `exec`    | execution fingerprint                 | [`ExecEntry`] (which DDG this stream produces) |
 //! | `subddg`  | ddg fp ⊕ simplify flag ⊕ task index   | extracted sub-DDG pool slice |
 //! | `find`    | ddg fp ⊕ finder-config fp             | [`FindArtifact`] (complete finder result) |
-//! | `match`   | [`ddg::StructuralKey`] ⊕ class ⊕ budget | match outcome in group space |
+//! | `match`   | [`MatchKey`]: 128-bit view hash (class as tag) ⊕ budget | match outcome in group space |
 //!
-//! Because keys are content hashes (the match stage's exact structural
-//! key included), *invalidation is implicit*: an edit produces new keys
+//! Beside the exec stage sits its *gate*: the shape keys
+//! ([`exec_shape_key`]) of the programs and inputs whose full runs put
+//! an exec entry. The engine spends an exec probe only on a request
+//! whose shape is armed, since a probe of any other shape cannot hit.
+//!
+//! Because keys are content hashes (the match stage's included),
+//! *invalidation is implicit*: an edit produces new keys
 //! and simply misses, while unchanged functions, traces, and structures
 //! keep hitting. No entry can go stale, so the stores record no
 //! dependency edges; every stage is one LRU-bounded [`Store`], and
 //! eviction is the only way an entry leaves.
 //!
 //! The match stage's [`MatchCache`] is a codec over its store: it keys
-//! each sub-DDG by dispatch class, exact structural key and budget, and
+//! each sub-DDG by dispatch class, structural hash and budget, and
 //! stores outcomes in group-index space — which is what lets sub-DDGs
 //! from an *edited* program hit match outcomes recorded for the
 //! unedited one.
 //!
-//! Every [`QueryDb`] holds all seven stages, and every engine runs on
-//! one — `Engine::new` builds a default-sized DB, the daemon a
-//! configured one — so batch experiments and the daemon walk the same
-//! memo chain.
+//! Every [`QueryDb`] holds all seven stages and the gate, and every
+//! engine runs on one — `Engine::new` builds a default-sized DB, the
+//! daemon a configured one — so batch experiments and the daemon walk
+//! the same memo chain.
 //!
 //! The trace, exec, and find stages persist across daemon restarts
 //! ([`persist`]): versioned append-only segments, loaded on start,
@@ -44,15 +49,16 @@ pub mod persist;
 pub mod store;
 
 pub use artifact::{ExecEntry, FindArtifact, TraceArtifact};
-pub use match_cache::{MatchCache, PendingEntry, Probe, DEFAULT_CACHE_CAPACITY};
+pub use match_cache::{MatchCache, MatchKey, PendingEntry, Probe, DEFAULT_CACHE_CAPACITY};
 pub use persist::{load_dir, save_dir, LoadReport, CACHE_SCHEMA_VERSION};
 pub use store::{Store, StoreMetrics};
 
-use ddg::Ddg;
+use ddg::{Ddg, LabelId};
 use discovery::{FinderConfig, FinderResult, SubDdg};
 use minc::{CachedFnIr, FnIrCache};
-use repro_ir::{ContentHash, ContentHasher, Program};
+use repro_ir::{ContentHash, ContentHasher, Program, WordHasher};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use trace::RunConfig;
 
@@ -94,18 +100,27 @@ pub struct QueryStats {
     pub subddg: StoreMetrics,
     pub find: StoreMetrics,
     pub match_cache: StoreMetrics,
+    /// Exec probes the gate skipped: the exec stage held entries, but
+    /// none for the request's shape ([`QueryDb::exec_gate`]).
+    pub exec_skipped: u64,
 }
 
-/// The shared, cross-request memo database: all seven stages. One
-/// instance lives behind an `Arc` in the engine (and the daemon),
-/// shared by every worker, so repeated and edited requests reuse every
-/// unchanged stage.
+/// The shared, cross-request memo database: all seven stages, plus the
+/// exec probe's gate. One instance lives behind an `Arc` in the engine
+/// (and the daemon), shared by every worker, so repeated and edited
+/// requests reuse every unchanged stage.
 pub struct QueryDb {
     match_cache: MatchCache,
     programs: Store<ContentHash, Program>,
     fnir: Store<ContentHash, CachedFnIr>,
     trace: Store<ContentHash, TraceArtifact>,
-    exec: Store<ContentHash, ExecEntry>,
+    /// Exec entries, each with the shape key of the run that put it
+    /// (kept so a persisted entry re-arms the gate when reloaded).
+    exec: Store<ContentHash, (ExecEntry, Option<ContentHash>)>,
+    /// Shape keys of the exec entries' runs: the exec probe's gate.
+    exec_shapes: Store<ContentHash, ()>,
+    exec_skipped: AtomicU64,
+    exec_skipped_counter: obs::Counter,
     subddg: Store<ContentHash, Vec<SubDdg>>,
     find: Store<ContentHash, FindArtifact>,
 }
@@ -120,6 +135,9 @@ impl QueryDb {
             fnir: Store::new("fnir", cap, bytes),
             trace: Store::new("trace", cap, bytes),
             exec: Store::new("exec", cap, bytes),
+            exec_shapes: Store::new("exec_shape", cap, bytes),
+            exec_skipped: AtomicU64::new(0),
+            exec_skipped_counter: obs::counter("query.exec.skipped"),
             subddg: Store::new("subddg", cap, bytes),
             find: Store::new("find", cap, bytes),
         }
@@ -164,22 +182,46 @@ impl QueryDb {
 
     // ---- exec stage ----
 
-    /// Which DDG an execution fingerprint corresponds to. The number
-    /// of resident entries is also the engine's gate for running the
-    /// fingerprint probe at all ([`QueryDb::exec_len`]).
+    /// Which DDG an execution fingerprint corresponds to.
     pub fn exec_get(&self, exec_fp: ContentHash) -> Option<ExecEntry> {
-        self.exec.get(&exec_fp).map(|e| *e)
+        self.exec.get(&exec_fp).map(|e| e.0)
     }
 
+    /// Records an exec entry without a shape: it can answer probes, but
+    /// arms no gate. The engine always knows the shape
+    /// ([`QueryDb::exec_put_shaped`]); this serves callers that drive
+    /// the stages themselves.
     pub fn exec_put(&self, exec_fp: ContentHash, entry: ExecEntry) {
-        self.exec.put(exec_fp, Arc::new(entry), 64);
+        self.exec.put(exec_fp, Arc::new((entry, None)), 64);
+    }
+
+    /// Records an exec entry and arms the gate for `shape`, the
+    /// [`exec_shape_key`] of the run that produced it.
+    pub fn exec_put_shaped(&self, exec_fp: ContentHash, entry: ExecEntry, shape: ContentHash) {
+        self.exec.put(exec_fp, Arc::new((entry, Some(shape))), 80);
+        self.exec_shapes.put(shape, Arc::new(()), 48);
     }
 
     /// Resident exec-stage entries. Zero means no traced run has
     /// recorded a fingerprint yet, so a probe run cannot hit — the
-    /// engine skips the probe and keeps the cold path cold.
+    /// engine skips the probe, and the gate, and keeps the cold path
+    /// cold.
     pub fn exec_len(&self) -> usize {
         self.exec.len()
+    }
+
+    /// Whether an exec probe for a request of this shape can hit: some
+    /// full run of the same constant-erased program on an input of the
+    /// same shape put an exec entry. A `false` counts as a skipped
+    /// probe (`query.exec.skipped`); it only ever loses a hit, since a
+    /// probe of an unarmed shape has no entry to find.
+    pub fn exec_gate(&self, shape: ContentHash) -> bool {
+        let armed = self.exec_shapes.contains(&shape);
+        if !armed {
+            self.exec_skipped.fetch_add(1, Ordering::Relaxed);
+            self.exec_skipped_counter.inc();
+        }
+        armed
     }
 
     // ---- sub-DDG stage ----
@@ -225,12 +267,13 @@ impl QueryDb {
         out
     }
 
-    /// Snapshot of the exec stage for the persistence writer, sorted
-    /// by key. Does not count hits or misses.
-    pub fn export_exec(&self) -> Vec<(ContentHash, ExecEntry)> {
+    /// Snapshot of the exec stage for the persistence writer, each
+    /// entry with its shape, sorted by key. Does not count hits or
+    /// misses.
+    pub fn export_exec(&self) -> Vec<(ContentHash, ExecEntry, Option<ContentHash>)> {
         let mut out = Vec::new();
-        self.exec.for_each(|k, v| out.push((*k, **v)));
-        out.sort_by_key(|(k, _)| k.0);
+        self.exec.for_each(|k, v| out.push((*k, v.0, v.1)));
+        out.sort_by_key(|(k, ..)| k.0);
         out
     }
 
@@ -252,6 +295,7 @@ impl QueryDb {
             subddg: self.subddg.metrics(),
             find: self.find.metrics(),
             match_cache: self.match_cache.metrics(),
+            exec_skipped: self.exec_skipped.load(Ordering::Relaxed),
         }
     }
 }
@@ -324,6 +368,39 @@ pub fn fingerprint_input(cfg: &RunConfig) -> ContentHash {
     h.finish()
 }
 
+/// The shape key gating the exec probe ([`QueryDb::exec_gate`]): the
+/// program's constant-erased fingerprint ([`trace::program_shape`])
+/// combined with the input's shape — entry-argument count and types,
+/// global array names and lengths, barrier participants, with every
+/// value left out. A constant edit keeps both halves, so its probe runs;
+/// an operator flip or a new input size changes one, so its probe —
+/// which could not hit — is skipped. `None` for a program that fails
+/// [`repro_ir::validate`]: it has no shape and gets no probe, and its
+/// full run reports the validation error.
+///
+/// One [`WordHasher`] digest rather than a `combine` of two hashes: its
+/// halves are independently mixed, so the gate's store spreads these
+/// keys over all its shards.
+pub fn exec_shape_key(program: &Program, input: &RunConfig) -> Option<ContentHash> {
+    let program_shape = trace::program_shape(program)?;
+    let mut h = WordHasher::new();
+    h.write_u64((program_shape.0 >> 64) as u64);
+    h.write_u64(program_shape.0 as u64);
+    h.write_u32s(input.entry_args.iter().map(|v| v.ty() as u32));
+    let mut lens: Vec<_> = input.array_lens.iter().collect();
+    lens.sort_unstable();
+    h.write_u64(lens.len() as u64);
+    for (name, len) in lens {
+        h.write_str(name);
+        h.write_u64(*len as u64);
+    }
+    h.write_u64(input.barrier_participants.len() as u64);
+    for &p in &input.barrier_participants {
+        h.write_u64(p as u64);
+    }
+    Some(h.finish())
+}
+
 fn write_value(h: &mut ContentHasher, v: &repro_ir::Value) {
     match v {
         repro_ir::Value::I64(x) => {
@@ -353,35 +430,37 @@ pub fn fingerprint_finder_config(cfg: &FinderConfig) -> ContentHash {
     h.finish()
 }
 
-/// Fingerprint of a traced DDG: every node's label string,
-/// associativity, static op, source position, thread, dynamic scope,
-/// and tracer flags, plus the successor CSR. A single linear pass —
-/// cheap relative to tracing, and byte-canonical (no interning order,
-/// pointer, or map-iteration dependence).
+/// Fingerprint of a traced DDG: the label table (each label's string
+/// and associativity, once), then every node's label id, static op,
+/// source position, thread, tracer flags and dynamic scope as
+/// fixed-width words, then the successor CSR. One linear
+/// [`WordHasher`] pass — cheap relative to tracing, and canonical: no
+/// pointer, allocation or map-iteration order reaches it. Equal hashes
+/// mean equal tables, nodes and arcs; two graphs that differ only in
+/// label interning order hash apart, which can only cost a hit (the
+/// tracer interns deterministically).
 pub fn fingerprint_ddg(g: &Ddg) -> ContentHash {
-    let mut h = ContentHasher::new();
+    let mut h = WordHasher::new();
+    h.write_u64(g.label_count() as u64);
+    for l in 0..g.label_count() {
+        let l = LabelId(l as u32);
+        h.write_str(g.label_str(l));
+        h.write_u64(g.label_is_associative(l) as u64);
+    }
     h.write_u64(g.len() as u64);
     for id in g.node_ids() {
         let n = g.node(id);
-        h.write_str(g.label_str(n.label));
-        h.write_u32(g.label_is_associative(n.label) as u32);
-        h.write_u32(n.static_op);
-        h.write_u32(n.file as u32);
-        h.write_u32(n.line);
-        h.write_u32(n.col);
-        h.write_u32(n.thread as u32);
+        h.write_u64(n.label.0 as u64 | (n.static_op as u64) << 32);
+        h.write_u64(n.line as u64 | (n.col as u64) << 32);
+        h.write_u64(n.file as u64 | (n.thread as u64) << 16 | (n.flags.0 as u64) << 32);
         h.write_u64(n.scope.len() as u64);
         for e in n.scope.iter() {
-            h.write_u32(e.loop_id);
-            h.write_u32(e.instance);
-            h.write_u32(e.iter);
+            h.write_u64(e.loop_id as u64 | (e.instance as u64) << 32);
+            h.write_u64(e.iter as u64);
         }
-        h.write_u32(n.flags.0 as u32);
     }
-    h.write_u64(g.arc_count() as u64);
-    for (src, dst) in g.arcs() {
-        h.write_u32(src.0);
-        h.write_u32(dst.0);
+    for id in g.node_ids() {
+        h.write_u32s(g.succs(id).iter().map(|v| v.0));
     }
     h.finish()
 }
@@ -502,6 +581,58 @@ mod tests {
         let fp1 = fingerprint_ddg(run1.ddg.as_ref().unwrap());
         let fp2 = fingerprint_ddg(run2.ddg.as_ref().unwrap());
         assert_eq!(fp1, fp2);
+    }
+
+    #[test]
+    fn exec_shape_keys_ignore_values_and_spread_over_every_shard() {
+        use crate::store::ShardKey;
+        let program = ray_rot_program(None);
+        let bench = starbench::benchmark("ray-rot").unwrap();
+        let input = (bench.analysis_input)();
+        let key = exec_shape_key(&program, &input).unwrap();
+        let edited = ray_rot_program(Some(("0.95", "0.85")));
+        assert_eq!(
+            key,
+            exec_shape_key(&edited, &input).unwrap(),
+            "constant edit"
+        );
+        let mut shards = [false; 8];
+        for len in 1..=64 {
+            let resized = input.clone().with_len("extra", len);
+            let k = exec_shape_key(&program, &resized).unwrap();
+            assert_ne!(k, key, "array lengths are shape");
+            shards[(k.shard_hash() % 8) as usize] = true;
+        }
+        assert!(shards.iter().all(|&s| s), "{shards:?}");
+    }
+
+    #[test]
+    fn ddg_fingerprint_sees_every_node_field_and_arc() {
+        use ddg::{DdgBuilder, ScopeEntry};
+        // A two-node graph with one knob per fact the fingerprint covers.
+        let build = |knob: usize| {
+            let mut b = DdgBuilder::new();
+            let l = b.intern_label("fadd", knob != 1);
+            let scope = vec![ScopeEntry {
+                loop_id: 0,
+                instance: 0,
+                iter: (knob == 2) as u32,
+            }];
+            let x = b.add_node(l, 0, 0, 1, 1, 0, scope);
+            let y = b.add_node(l, (knob == 3) as u32, 0, 2, 1, (knob == 4) as u16, vec![]);
+            if knob != 5 {
+                b.add_arc(x, y);
+            }
+            if knob == 6 {
+                b.mark_reads_input(x);
+            }
+            b.finish()
+        };
+        let base = fingerprint_ddg(&build(0));
+        assert_eq!(base, fingerprint_ddg(&build(0)));
+        for knob in 1..=6 {
+            assert_ne!(base, fingerprint_ddg(&build(knob)), "knob {knob}");
+        }
     }
 
     #[test]

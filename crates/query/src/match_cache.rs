@@ -5,17 +5,23 @@
 //! one benchmark at several input scales — keep presenting the matcher
 //! with sub-DDGs that are *op-isomorphic at the group level*: same label
 //! multisets, flags, arc and reachability shape, static-op equality
-//! pattern. The cache memoizes match outcomes under the canonical
-//! [`ddg::StructuralKey`] of the compacted view, so the second such view
-//! skips the models entirely.
+//! pattern. The cache memoizes match outcomes under a [`MatchKey`]: the
+//! 128-bit [`ddg::grouped_hash`] of the compacted view (dispatch class
+//! as its tag) plus the match budget, so the second such view skips the
+//! models entirely.
 //!
-//! Soundness rests on two facts, both enforced elsewhere:
+//! Soundness rests on three facts, the first two enforced elsewhere:
 //!
-//! - the pattern models consume *only* the facts the key encodes (the
+//! - the pattern models consume *only* the facts the key hashes (the
 //!   `ddg` crate's property tests check that equal keys imply equal
-//!   matcher-visible facts — no false hits);
+//!   matcher-visible facts — no false hits — and the root
+//!   `key_agreement` test that the hash splits every view the finder
+//!   issues on the Starbench corpus exactly as the exact
+//!   [`ddg::grouped_key`] does);
 //! - a matcher is a deterministic function of those facts plus the
-//!   dispatch class and time budget, which are part of the cache key.
+//!   dispatch class and time budget, which are part of the cache key;
+//! - two different fact streams do not collide in 128 bits at cache
+//!   scale — the same odds every other content-addressed stage rests on.
 //!
 //! Because a pattern's metadata (source lines, label strings, node ids)
 //! is *not* structural, hits store the match in **group-index space**
@@ -29,17 +35,19 @@
 //! sets), which the group-level key does not see.
 //!
 //! **Bounded growth.** The table is the query layer's `match` stage: one
-//! [`Store`] keyed by the exact structural key, bounded by
-//! [`QueryConfig`]'s match entry and byte caps like every other stage.
-//! An evicted entry is recomputed (and re-inserted) on its next miss,
+//! [`Store`] keyed by [`MatchKey`], bounded by [`QueryConfig`]'s match
+//! entry and byte caps like every other stage. An entry costs its
+//! 16-byte hash, its group-space outcome and a fixed slot overhead. An
+//! evicted entry is recomputed (and re-inserted) on its next miss,
 //! byte-identical to the first computation.
 
 use crate::store::{ShardKey, Store, StoreMetrics};
 use crate::QueryConfig;
-use ddg::{Ddg, NodeId, StructuralKey};
+use ddg::{Ddg, NodeId};
 use discovery::models::MatchBudget;
 use discovery::patterns::Detail;
 use discovery::{Pattern, PatternKind, SubDdg, SubKind};
+use repro_ir::ContentHash;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,22 +64,67 @@ fn dispatch_class(kind: &SubKind) -> Option<u64> {
 }
 
 /// The compaction groups a key and a reconstruction see: the sub-DDG's
-/// own groups, or singletons in ascending node order — exactly the view
-/// `discovery::quotient::Quotient::build` compacts to.
-fn groups_of(sub: &SubDdg) -> Vec<Vec<NodeId>> {
-    match &sub.groups {
-        Some(gs) => gs.clone(),
-        None => sub.nodes.iter().map(|n| vec![NodeId(n as u32)]).collect(),
+/// own groups (borrowed, never cloned), or singletons in ascending node
+/// order — exactly the view `discovery::quotient::Quotient::build`
+/// compacts to.
+enum View<'a> {
+    Grouped(&'a [Vec<NodeId>]),
+    Singletons(Vec<[NodeId; 1]>),
+}
+
+impl<'a> View<'a> {
+    fn of(sub: &'a SubDdg) -> View<'a> {
+        match &sub.groups {
+            Some(gs) => View::Grouped(gs),
+            None => View::Singletons(sub.nodes.iter().map(|n| [NodeId(n as u32)]).collect()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            View::Grouped(gs) => gs.len(),
+            View::Singletons(ns) => ns.len(),
+        }
+    }
+
+    fn members(&self, gi: usize) -> &[NodeId] {
+        match self {
+            View::Grouped(gs) => &gs[gi],
+            View::Singletons(ns) => &ns[gi],
+        }
+    }
+
+    fn hash(&self, g: &Ddg, class: u64) -> ContentHash {
+        match self {
+            View::Grouped(gs) => ddg::grouped_hash(g, gs, class),
+            View::Singletons(ns) => ddg::grouped_hash(g, ns, class),
+        }
     }
 }
 
-#[derive(PartialEq, Eq, Hash)]
-struct CacheKey {
-    key: StructuralKey,
+/// A sub-DDG's match-stage key: the structural hash of its compacted
+/// view, tagged with the dispatch class, and the per-match budget.
+/// `Copy` and comparable, so a caller can tell two probes of one key
+/// apart from two probes of different keys before touching the store.
+/// Its shard comes from the default SipHash of all its bits.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct MatchKey {
+    shape: ContentHash,
     budget_ms: u64,
 }
 
-impl ShardKey for CacheKey {}
+impl ShardKey for MatchKey {}
+
+impl MatchKey {
+    /// The key of `sub`'s compacted view, or `None` for a fused view
+    /// (uncacheable).
+    pub fn of(g: &Ddg, sub: &SubDdg, budget: &MatchBudget) -> Option<MatchKey> {
+        Some(MatchKey {
+            shape: View::of(sub).hash(g, dispatch_class(&sub.kind)?),
+            budget_ms: budget.time.as_millis() as u64,
+        })
+    }
+}
 
 /// A match outcome in group-index space.
 enum CachedMatch {
@@ -101,7 +154,7 @@ pub enum Probe {
 
 /// A miss ticket carrying the computed key to the fulfil site.
 pub struct PendingEntry {
-    key: CacheKey,
+    key: MatchKey,
 }
 
 /// Default entry capacity when the caller does not size the cache
@@ -113,7 +166,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// The match stage: probe/fulfil over one shared, thread-safe [`Store`]
 /// of group-space outcomes (`None` = a memoized no-match).
 pub struct MatchCache {
-    store: Store<CacheKey, Option<CachedMatch>>,
+    store: Store<MatchKey, Option<CachedMatch>>,
 }
 
 impl MatchCache {
@@ -124,20 +177,32 @@ impl MatchCache {
         }
     }
 
-    /// Looks `sub`'s structural key up. A hit counts as a touch: the
-    /// entry moves to the back of its shard's eviction order.
+    /// Looks `sub`'s key up. A hit counts as a touch: the entry moves
+    /// to the back of its shard's eviction order.
     pub fn probe(&self, g: &Ddg, sub: &SubDdg, budget: &MatchBudget) -> Probe {
-        let Some(class) = dispatch_class(&sub.kind) else {
-            return Probe::Uncacheable;
-        };
-        let groups = groups_of(sub);
-        let key = CacheKey {
-            key: ddg::grouped_key(g, &groups, class),
-            budget_ms: budget.time.as_millis() as u64,
-        };
+        match MatchKey::of(g, sub, budget) {
+            None => Probe::Uncacheable,
+            Some(key) => match self.lookup(g, sub, key) {
+                Ok(hit) => Probe::Hit(hit),
+                Err(pending) => Probe::Miss(pending),
+            },
+        }
+    }
+
+    /// [`MatchCache::probe`] for a key the caller already computed with
+    /// [`MatchKey::of`] on the same `g` and `sub`: the memoized outcome
+    /// rebuilt against `sub` on a hit, a miss ticket otherwise.
+    pub fn lookup(
+        &self,
+        g: &Ddg,
+        sub: &SubDdg,
+        key: MatchKey,
+    ) -> Result<Option<Pattern>, PendingEntry> {
         match self.store.get(&key) {
-            Some(entry) => Probe::Hit((*entry).as_ref().map(|m| rebuild(g, sub, &groups, m))),
-            None => Probe::Miss(PendingEntry { key }),
+            Some(entry) => Ok((*entry)
+                .as_ref()
+                .map(|m| rebuild(g, sub, &View::of(sub), m))),
+            None => Err(PendingEntry { key }),
         }
     }
 
@@ -151,7 +216,7 @@ impl MatchCache {
         // An unencodable pattern (a detail node outside the group view;
         // never produced by the current models) is simply not cached.
         if let Some(entry) = entry {
-            let bytes = approx_bytes(&pending.key, &entry);
+            let bytes = approx_bytes(&entry);
             self.store.put(pending.key, Arc::new(entry), bytes);
         }
     }
@@ -161,9 +226,10 @@ impl MatchCache {
     }
 }
 
-/// Approximate heap footprint of one cache line: key words, entry
-/// vectors, and fixed per-slot overhead (map + recency bookkeeping).
-fn approx_bytes(key: &CacheKey, entry: &Option<CachedMatch>) -> usize {
+/// Approximate heap footprint of one cache line: the 16-byte hash,
+/// entry vectors, and fixed per-slot overhead (map + recency
+/// bookkeeping).
+fn approx_bytes(entry: &Option<CachedMatch>) -> usize {
     let entry_bytes = match entry {
         None => 0,
         Some(CachedMatch::Map { components, .. }) => {
@@ -175,7 +241,7 @@ fn approx_bytes(key: &CacheKey, entry: &Option<CachedMatch>) -> usize {
             final_chain,
         }) => partials.iter().map(|c| 24 + 4 * c.len()).sum::<usize>() + 4 * final_chain.len(),
     };
-    8 * key.key.len_words() + entry_bytes + 96
+    16 + entry_bytes + 96
 }
 
 /// Encodes a freshly matched pattern in group-index space. Every node a
@@ -183,10 +249,10 @@ fn approx_bytes(key: &CacheKey, entry: &Option<CachedMatch>) -> usize {
 /// always reference group representatives (`members[0]`) and map
 /// components cover whole groups, so group indices suffice.
 fn encode(sub: &SubDdg, p: &Pattern) -> Option<CachedMatch> {
-    let groups = groups_of(sub);
+    let view = View::of(sub);
     let mut group_of: HashMap<u32, u32> = HashMap::new();
-    for (gi, members) in groups.iter().enumerate() {
-        for &m in members {
+    for gi in 0..view.len() {
+        for &m in view.members(gi) {
             group_of.insert(m.0, gi as u32);
         }
     }
@@ -235,15 +301,15 @@ fn encode(sub: &SubDdg, p: &Pattern) -> Option<CachedMatch> {
 /// Rebuilds a concrete pattern for `sub` from a group-index match. The
 /// probing view's key equals the stored view's key, so group count and
 /// per-group member counts agree and every index resolves.
-fn rebuild(g: &Ddg, sub: &SubDdg, groups: &[Vec<NodeId>], m: &CachedMatch) -> Pattern {
-    let rep = |gi: &u32| groups[*gi as usize][0];
+fn rebuild(g: &Ddg, sub: &SubDdg, view: &View, m: &CachedMatch) -> Pattern {
+    let rep = |gi: &u32| view.members(*gi as usize)[0];
     match m {
         CachedMatch::Map { kind, components } => {
             let components: Vec<Vec<NodeId>> = components
                 .iter()
                 .map(|gis| {
                     gis.iter()
-                        .flat_map(|gi| groups[*gi as usize].iter().copied())
+                        .flat_map(|gi| view.members(*gi as usize).iter().copied())
                         .collect()
                 })
                 .collect();
@@ -262,7 +328,7 @@ fn rebuild(g: &Ddg, sub: &SubDdg, groups: &[Vec<NodeId>], m: &CachedMatch) -> Pa
             partials,
             final_chain,
         } => {
-            let n = groups.len();
+            let n = view.len();
             Pattern::with_metadata(PatternKind::TiledReduction, sub.nodes.clone(), n, g)
                 .with_detail(Detail::Tiled {
                     partials: partials
@@ -344,6 +410,26 @@ mod tests {
         );
         assert_eq!(cache.metrics().hits, 1);
         assert_eq!(cache.metrics().misses, 1);
+    }
+
+    #[test]
+    fn a_precomputed_key_probes_like_probe_and_an_entry_costs_its_hash() {
+        let cache = default_cache();
+        let (g, sub) = chain(200, 0, "fadd");
+        let budget = MatchBudget::default();
+        let key = MatchKey::of(&g, &sub, &budget).expect("assoc views are cacheable");
+        let Err(pending) = cache.lookup(&g, &sub, key) else {
+            panic!("first lookup must miss")
+        };
+        let fresh = match_subddg(&g, &sub, &budget);
+        cache.fulfil(pending, &sub, &fresh);
+        let Probe::Hit(Some(hit)) = probe_of(&cache, &g, &sub) else {
+            panic!("probe must find the entry the lookup's ticket filled")
+        };
+        assert_eq!(hit.detail, fresh.unwrap().detail);
+        // A 200-link chain: 16 bytes of key, 4 per link, slot overhead —
+        // however many words the view's facts take.
+        assert_eq!(cache.metrics().approx_bytes, 16 + 4 * 200 + 96);
     }
 
     #[test]

@@ -31,7 +31,11 @@ use std::path::Path;
 
 /// Bumped whenever the segment or payload encoding changes; a mismatch
 /// makes old segments invisible (counted, not fatal).
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+///
+/// Version 2: DDG fingerprints (the `ddg_fp` of trace and exec entries,
+/// and the prefix of every find key) hash word-wise, and exec entries
+/// carry the shape key that re-arms the exec gate on load.
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 6] = b"RQSEG\n";
 const STAGE_TRACE: u8 = 1;
@@ -80,8 +84,8 @@ pub fn save_dir(db: &QueryDb, dir: &Path) -> io::Result<SaveReport> {
         write_record(&mut out, STAGE_FIND, key, &encode_find(&artifact));
         report.find_records += 1;
     }
-    for (key, entry) in db.export_exec() {
-        write_record(&mut out, STAGE_EXEC, key, &encode_exec(&entry));
+    for (key, entry, shape) in db.export_exec() {
+        write_record(&mut out, STAGE_EXEC, key, &encode_exec(&entry, shape));
         report.exec_records += 1;
     }
     let tmp = dir.join("segment-000.seg.tmp");
@@ -159,7 +163,10 @@ fn load_segment(db: &QueryDb, bytes: &[u8], report: &mut LoadReport) {
                 .map(|a| db.find_put(key, a))
                 .is_some(),
             STAGE_EXEC => decode_exec(&mut Dec::new(payload))
-                .map(|e| db.exec_put(key, e))
+                .map(|(e, shape)| match shape {
+                    Some(shape) => db.exec_put_shaped(key, e, shape),
+                    None => db.exec_put(key, e),
+                })
                 .is_some(),
             _ => false,
         };
@@ -369,18 +376,31 @@ fn decode_trace(d: &mut Dec) -> Option<TraceArtifact> {
 
 // ---- exec entry codec ----
 
-fn encode_exec(e: &ExecEntry) -> Vec<u8> {
+fn encode_exec(e: &ExecEntry, shape: Option<ContentHash>) -> Vec<u8> {
     let mut enc = Enc::default();
     enc.u128(e.ddg_fp.0);
     enc.u64(e.ddg_nodes);
+    match shape {
+        None => enc.u8(0),
+        Some(shape) => {
+            enc.u8(1);
+            enc.u128(shape.0);
+        }
+    }
     enc.buf
 }
 
-fn decode_exec(d: &mut Dec) -> Option<ExecEntry> {
-    Some(ExecEntry {
+fn decode_exec(d: &mut Dec) -> Option<(ExecEntry, Option<ContentHash>)> {
+    let entry = ExecEntry {
         ddg_fp: ContentHash(d.u128()?),
         ddg_nodes: d.u64()?,
-    })
+    };
+    let shape = match d.u8()? {
+        0 => None,
+        1 => Some(ContentHash(d.u128()?)),
+        _ => return None,
+    };
+    Some((entry, shape))
 }
 
 // ---- find artifact codec ----
@@ -690,6 +710,50 @@ mod tests {
             format!("{:?}", db2.find_get(fk).unwrap()),
             format!("{:?}", std::sync::Arc::new(sample_find()))
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reloaded_store_still_arms_the_exec_gate() {
+        let dir = std::env::temp_dir().join("repro-query-persist-gate");
+        let _ = std::fs::remove_dir_all(&dir);
+        // One program with a scale constant; the probe-shaped run is
+        // untraced and fingerprinted, as the engine's probe is.
+        let probe = |scale: &str| {
+            let src = format!(
+                "float in[4];\nfloat out[4];\nvoid main() {{\n  int i;\n  \
+                 for (i = 0; i < 4; i++) {{\n    out[i] = in[i] * {scale};\n  }}\n  \
+                 output(out);\n}}\n"
+            );
+            let program = minc::compile("gate", &src).unwrap();
+            let mut input = trace::RunConfig::default()
+                .with_f64("in", &[1.0, 2.0, 3.0, 4.0])
+                .with_exec_fingerprint(true);
+            input.trace = trace::TraceMode::Off;
+            let fp = trace::run(&program, &input).unwrap().exec_fp.unwrap();
+            (
+                ContentHash(fp),
+                crate::exec_shape_key(&program, &input).unwrap(),
+            )
+        };
+        let (fp, shape) = probe("2.0");
+        let entry = crate::ExecEntry {
+            ddg_fp: fingerprint_str("ddg"),
+            ddg_nodes: 4,
+        };
+        let db = QueryDb::full(QueryConfig::default());
+        db.exec_put_shaped(fp, entry, shape);
+        save_dir(&db, &dir).unwrap();
+
+        let db2 = QueryDb::full(QueryConfig::default());
+        assert_eq!(load_dir(&db2, &dir).records_loaded, 1);
+        // A constant edit after the reload keeps the shape, so its probe
+        // runs, and it hits the reloaded entry.
+        let (edited_fp, edited_shape) = probe("3.0");
+        assert_eq!(edited_shape, shape);
+        assert!(db2.exec_gate(edited_shape));
+        assert_eq!(db2.exec_get(edited_fp), Some(entry));
+        assert_eq!(db2.stats().exec_skipped, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,10 +5,9 @@
 //! trips first driving eviction, lazy recency queues, and poison
 //! recovery that clears only the affected shard — a memo table may
 //! always drop entries, never serve half-written ones. Each key is held
-//! once behind an `Arc` that the map and the recency queue share, so
-//! large keys (the match stage's exact structural keys) are never
-//! copied; values are `Arc`s so readers never hold a shard lock while
-//! using an entry.
+//! once behind an `Arc` that the map and the recency queue share, so a
+//! key is never copied; values are `Arc`s so readers never hold a shard
+//! lock while using an entry.
 
 use repro_ir::ContentHash;
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -35,10 +34,12 @@ pub trait ShardKey: Hash + Eq {
     }
 }
 
-/// Content hashes fold their two 64-bit lanes. Both lanes are FNV-1a
-/// over the same bytes, so the fold's low three bits take only two
-/// values: an 8-shard store keyed by content hashes fills 2 of its
-/// shards and holds at most a quarter of its entry and byte caps.
+/// Content hashes fold their two 64-bit lanes. For a `ContentHasher`
+/// digest both lanes are FNV-1a over the same bytes, so the fold's low
+/// three bits take only two values: an 8-shard store keyed by such
+/// hashes fills 2 of its shards and holds at most a quarter of its
+/// entry and byte caps. `WordHasher` digests mix each lane on its own
+/// and fold evenly.
 impl ShardKey for ContentHash {
     fn shard_hash(&self) -> u64 {
         (self.0 >> 64) as u64 ^ self.0 as u64
@@ -269,6 +270,14 @@ impl<K: ShardKey, V> Store<K, V> {
         found
     }
 
+    /// Whether a key is resident, counting neither a hit nor a miss (a
+    /// gate consulted before a stage, which counts its own outcome) and
+    /// leaving the eviction order as it is: a key that is only ever
+    /// checked ages out in insertion order.
+    pub fn contains(&self, key: &K) -> bool {
+        self.shard_for(key).map.contains_key(key)
+    }
+
     /// Inserts a value with a caller-estimated byte cost, evicting the
     /// shard's least recently used entries if it runs over either cap.
     pub fn put(&self, key: K, value: Arc<V>, bytes: usize) {
@@ -438,6 +447,25 @@ mod tests {
         assert!(queue_len <= 4 * 2 + 16, "queue grew to {queue_len}");
         assert_eq!(store.len(), 2);
         assert_eq!(store.metrics().evictions, 0);
+    }
+
+    #[test]
+    fn contains_neither_counts_nor_touches() {
+        let store = one_shard(2, 0);
+        store.put("a", Arc::new(0), 8);
+        store.put("b", Arc::new(0), 8);
+        assert!(store.contains(&"a"));
+        assert!(!store.contains(&"z"));
+        let m = store.metrics();
+        assert_eq!((m.hits, m.misses), (0, 0));
+        // "a" was only checked, so it is still the oldest entry.
+        store.put("c", Arc::new(0), 8);
+        assert!(!store.contains(&"a") && store.contains(&"b"));
+        assert_eq!(
+            store.shards[0].lock().unwrap().recency.len(),
+            2,
+            "checks queue nothing"
+        );
     }
 
     #[test]

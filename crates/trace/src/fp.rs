@@ -31,6 +31,7 @@
 //! cached DDG an edited program still corresponds to.
 
 use crate::bytecode::{CompiledProgram, Inst, Pos};
+use repro_ir::{ContentHash, WordHasher};
 use std::collections::HashSet;
 
 /// FNV-1a 64-bit, word-at-a-time. Speed matters here — one mix per
@@ -98,6 +99,27 @@ impl FpState {
     pub(crate) fn finish(&self) -> u128 {
         ((self.hi as u128) << 64) | self.lo as u128
     }
+}
+
+/// The constant-erased fingerprint of a compiled program: the seed a
+/// run's [`FpState`] starts from (the iterator-op classification and the
+/// entry function), then every instruction's static digest in function
+/// and pc order. The digests hash a constant's type, never its value,
+/// so programs that differ only in constant values share it; any other
+/// edit — an operator, a slot, a source position, a jump target —
+/// changes it.
+pub(crate) fn program_shape(code: &CompiledProgram, iterator_ops: &HashSet<u32>) -> ContentHash {
+    let seed = FpState::new(code, iterator_ops);
+    let mut h = WordHasher::new();
+    h.write_u64(seed.lo);
+    h.write_u64(seed.hi);
+    for digests in &seed.digests {
+        h.write_u64(digests.len() as u64);
+        for &d in digests {
+            h.write_u64(d);
+        }
+    }
+    h.finish()
 }
 
 /// Digest of one instruction's static content. Everything that shapes

@@ -26,7 +26,7 @@ pub mod shadow;
 
 pub use compile::compile_program;
 pub use machine::MachineError;
-pub use run::{run, RunConfig, RunResult, TraceMode};
+pub use run::{program_shape, run, RunConfig, RunResult, TraceMode};
 
 #[cfg(feature = "fault-inject")]
 pub use run::TraceFault;

@@ -4,7 +4,7 @@ use crate::compile::compile_program;
 use crate::machine::{Limits, Machine, MachineError};
 use ddg::Ddg;
 use repro_ir::{Program, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// Deterministic fault injection into the machine's step loop
@@ -213,12 +213,8 @@ pub fn run(program: &Program, config: &RunConfig) -> Result<RunResult, MachineEr
     // The fingerprint seeds over the iterator-op classification (it
     // lands in DDG node flags), so fingerprinted untraced runs need the
     // analysis too.
-    let iterator_ops: std::collections::HashSet<u32> = if tracing || config.exec_fingerprint {
-        repro_ir::iter_rec::analyze(program)
-            .iterator_ops
-            .into_iter()
-            .map(|op| op.0)
-            .collect()
+    let iterator_ops = if tracing || config.exec_fingerprint {
+        iterator_ops(program)
     } else {
         Default::default()
     };
@@ -272,6 +268,31 @@ pub fn run(program: &Program, config: &RunConfig) -> Result<RunResult, MachineEr
         steps,
         exec_fp,
     })
+}
+
+/// Static ops classified as loop traversal (their nodes get
+/// `NodeFlags::ITERATOR`).
+fn iterator_ops(program: &Program) -> HashSet<u32> {
+    repro_ir::iter_rec::analyze(program)
+        .iterator_ops
+        .into_iter()
+        .map(|op| op.0)
+        .collect()
+}
+
+/// The constant-erased fingerprint of `program`: what its execution
+/// fingerprints hash per instruction — opcodes, operand ids, source
+/// positions, constant *types* — plus the iterator-op seed, folded over
+/// the whole program without running it. Two programs that differ only
+/// in constant values share it. `None` when the program fails
+/// [`repro_ir::validate`] (a [`run`] of it reports the error).
+///
+/// Costs one compile and one iterator analysis — microseconds for the
+/// Starbench programs, with no serialization.
+pub fn program_shape(program: &Program) -> Option<repro_ir::ContentHash> {
+    repro_ir::validate(program).ok()?;
+    let code = compile_program(program);
+    Some(crate::fp::program_shape(&code, &iterator_ops(program)))
 }
 
 #[cfg(test)]
@@ -541,6 +562,26 @@ mod tests {
         // Trip-count edit: same per-iteration stream, fewer iterations.
         let (fp_n, _) = fp_of(&fp_program("0.95", "*", "4"), TraceMode::Off);
         assert_ne!(fp_base, fp_n);
+    }
+
+    #[test]
+    fn program_shape_erases_constants_only() {
+        let shape = |scale, op, n| program_shape(&fp_program(scale, op, n)).unwrap();
+        let base = shape("0.95", "*", "8");
+        assert_eq!(base, shape("0.85", "*", "8"), "constant value");
+        assert_eq!(base, shape("0.95", "*", "4"), "a trip-count constant too");
+        assert_ne!(base, shape("0.95", "+", "8"), "operator");
+        assert_ne!(base, program_shape(&reduction_program()).unwrap());
+
+        let mut broken = fp_program("0.95", "*", "8");
+        broken.entry = repro_ir::FnId(99);
+        assert_eq!(
+            program_shape(&broken),
+            None,
+            "invalid programs have no shape"
+        );
+        let err = run(&broken, &RunConfig::default()).unwrap_err();
+        assert!(err.message.contains("invalid program"), "{err}");
     }
 
     #[test]
